@@ -457,13 +457,13 @@ type LiveResult struct {
 	Replaced      int64
 	DeadDropped   int64
 	EndDeadLinks  int
-	// Socket-path health counters (zero for in-process sessions):
-	// TransportDropped counts datagrams the UDP transport shed on overflow,
-	// ShapeDropped/ShapeDelayed the injected shaper's loss and latency
-	// decisions, Resyncs the forward clock jumps the re-sync mechanism
-	// made, and BehindPeriods the periods this node spent trailing the
-	// newest period stamp it had seen (a liveness-drift measure; re-sync
-	// keeps it near zero).
+	// Transport health counters: TransportDropped counts messages a full
+	// inbox shed (on either transport). The rest are socket-path only and
+	// zero for in-process sessions: ShapeDropped/ShapeDelayed the injected
+	// shaper's loss and latency decisions, Resyncs the forward clock jumps
+	// the re-sync mechanism made, and BehindPeriods the periods this node
+	// spent trailing the newest period stamp it had seen (a liveness-drift
+	// measure; re-sync keeps it near zero).
 	TransportDropped int64
 	ShapeDropped     int64
 	ShapeDelayed     int64

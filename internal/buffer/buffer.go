@@ -259,11 +259,11 @@ func (b *Buffer) HasAll(w segment.Window) bool {
 	return b.onesBelow(c)-b.onesBelow(a) == c-a
 }
 
-// Words exposes the live availability words (bit i = presence of segment
-// Lo()+i, same layout as Map.Bits). The slice is read-only for callers
-// and its contents change with every mutation; it exists so hot paths can
-// run word-level set operations against advertised maps without copying.
-func (b *Buffer) Words() []uint64 { return b.bits }
+// View returns the buffer's availability as a Map whose Bits alias the
+// live availability words: read-only for callers, and its contents change
+// with every mutation. It exists so hot paths can run word-level set
+// operations against advertised maps without copying.
+func (b *Buffer) View() Map { return Map{Lo: b.lo, Bits: b.bits, Size: b.size} }
 
 // Snapshot returns the buffer's availability as a Map suitable for
 // exchanging with neighbours. The result is an independent copy.

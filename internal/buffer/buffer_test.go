@@ -204,6 +204,22 @@ func TestUnmarshalMapRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestUnmarshalMapRejectsBitsPastSize pins canonical decoding: a bit set
+// in the last word past the map's size is not an ID inside the window,
+// and a decoded map must not carry one into word-level consumers.
+func TestUnmarshalMapRejectsBitsPastSize(t *testing.T) {
+	b := New(600, 40)
+	b.Insert(639)
+	data := b.Snapshot().Marshal()
+	if _, err := UnmarshalMap(data); err != nil {
+		t.Fatalf("canonical map rejected: %v", err)
+	}
+	data[len(data)-1] |= 0x80 // bit 63 of the last word: slot 639 of a 600-slot map
+	if _, err := UnmarshalMap(data); err == nil {
+		t.Fatal("map with a bit past its size accepted")
+	}
+}
+
 func TestMapFreshIn(t *testing.T) {
 	b := New(10, 0)
 	for _, id := range []segment.ID{2, 4, 6, 8} {

@@ -74,7 +74,9 @@ func (m Map) Marshal() []byte {
 	return out
 }
 
-// UnmarshalMap decodes a map previously produced by Marshal.
+// UnmarshalMap decodes a map previously produced by Marshal. It rejects
+// frames that are not canonical Marshal output, including ones with
+// availability bits set past the map's size.
 func UnmarshalMap(data []byte) (Map, error) {
 	if len(data) < 12 {
 		return Map{}, fmt.Errorf("buffer: map too short: %d bytes", len(data))
@@ -94,6 +96,11 @@ func UnmarshalMap(data []byte) (Map, error) {
 	}
 	for i := range m.Bits {
 		m.Bits[i] = binary.LittleEndian.Uint64(data[12+8*i:])
+	}
+	// Bits past Size in the last word would read as IDs beyond the window
+	// to any word-level consumer; Marshal never sets them.
+	if r := uint(size) & 63; r != 0 && m.Bits[words-1]>>r != 0 {
+		return Map{}, fmt.Errorf("buffer: map sets bits past its size %d", size)
 	}
 	return m, nil
 }

@@ -79,13 +79,11 @@ type roundArena struct {
 
 	// sched is the schedule phase's scratch (this index read as a
 	// contiguous range shard): the policy scratch whose request arena
-	// backs the round's scheduler output, plus the candidate-enumeration
-	// buffers reset per node.
-	sched     scheduler.Scratch
-	candLive  []nbSnap
-	candUnion []uint64
-	candSup   []scheduler.Supplier
-	cands     []scheduler.Candidate
+	// backs the round's scheduler output, plus the candidate enumerator's
+	// scratch and neighbour-map staging, reset per node.
+	sched    scheduler.Scratch
+	cand     protocol.CandidateScratch
+	candNbrs []protocol.NeighbourMap
 
 	// predictIDs is the predict phase's missed-ID arena (per-node lists are
 	// capacity-capped carvings, alive until resolvePrefetch consumes them);
@@ -166,15 +164,11 @@ type serveCtx struct {
 	sn         *Node
 	neighbours []overlay.NodeID
 	cache      *rarityCache
-	positions  []int
 	pos        segment.ID
 
-	// nbWords holds the live neighbours' advertised availability words when
-	// every snapshot aligns with the playback window (aligned); the rarity
-	// closure then counts holders with one bit probe per neighbour word and
-	// collapses the product to a repeated factor.
-	nbWords [][]uint64
-	aligned bool
+	// view is the supplier's rarity view over its live neighbours'
+	// snapshots, rebuilt per supplier by prepRarity.
+	view protocol.RarityView
 
 	supplierHas    func(segment.ID) bool
 	requesterAlive func(overlay.NodeID) bool
@@ -182,29 +176,14 @@ type serveCtx struct {
 	rarity         func(segment.ID) float64
 }
 
-// prepRarity readies the rarity fast path for the current supplier: with
-// every live neighbour's map opening at the shared playback position at
-// full window size, a segment's position-from-tail is identical in each
-// holder, so rarity needs only a holder count. Any misaligned snapshot
-// (never produced by the round pipeline, whose buffers all advance to the
-// playback position before the exchange) disables the fast path and the
-// closure runs the scalar position-gathering loop, retained as the
-// differential oracle.
+// prepRarity builds the rarity view for the current supplier from its
+// live neighbours' snapshots, in ascending neighbour order.
 func (c *serveCtx) prepRarity() {
-	c.nbWords = c.nbWords[:0]
-	c.aligned = true
-	size := c.w.cfg.BufferSegments
+	c.view.Reset(c.w.cfg.BufferSegments, c.pos)
 	for _, nb := range c.neighbours {
-		j := c.index[nb]
-		if j < 0 {
-			continue
+		if j := c.index[nb]; j >= 0 {
+			c.view.Add(c.snaps[j])
 		}
-		snap := c.snaps[j]
-		if snap.Lo != c.pos || snap.Size != size {
-			c.aligned = false
-			return
-		}
-		c.nbWords = append(c.nbWords, snap.Bits)
 	}
 }
 
@@ -224,36 +203,7 @@ func (c *serveCtx) ensure(w *World) {
 		if r, ok := c.cache.get(id); ok {
 			return r
 		}
-		size := c.w.cfg.BufferSegments
-		var r float64
-		if c.aligned {
-			// Holder count via one bit probe per neighbour word; an ID
-			// outside the shared window has no holders and keeps the empty
-			// product's 1 — exactly the scalar loop's result.
-			count := 0
-			i := int(id - c.pos)
-			if i >= 0 && i < size {
-				wi, bit := i>>6, uint64(1)<<(uint(i)&63)
-				for _, words := range c.nbWords {
-					if words[wi]&bit != 0 {
-						count++
-					}
-				}
-			}
-			r = protocol.SupplierRarityUniform(size, size-i, count)
-		} else {
-			c.positions = c.positions[:0]
-			for _, nb := range c.neighbours {
-				j := c.index[nb]
-				if j < 0 {
-					continue
-				}
-				if pft, ok := c.snaps[j].PositionFromTail(id); ok {
-					c.positions = append(c.positions, pft)
-				}
-			}
-			r = protocol.SupplierRarity(size, c.positions)
-		}
+		r := c.view.Rarity(id)
 		c.cache.put(id, r)
 		return r
 	}

@@ -19,16 +19,20 @@ import (
 // steady-state work the gate should price.
 func (w *World) BenchMaintenanceRound() { w.maintenancePhase() }
 
-// BenchSchedulePhase executes the scheduling slice of one round — buffer-
-// map exchange, candidate enumeration, and Algorithm 1 request selection —
-// and returns how many requests were scheduled. Before returning it
-// unwinds the pending-request marks the scheduler set (a gossipExpiry at
-// or below the current round is behaviourally identical to the zero "no
-// pending request" state, so resetting the scheduled IDs to 0 restores the
-// exact candidate set), which makes repeated calls schedule identical work
-// — the property a benchmark iteration needs.
+// BenchSchedulePhase executes the scheduling slice of the clock's round —
+// buffer-map exchange, candidate enumeration, and Algorithm 1 request
+// selection — and returns how many requests were scheduled. It first
+// enters the round the way Step does (beginRound, a no-op on repeat
+// calls), so every buffer window opens at the round's playback position
+// and enumeration takes the same aliasing path as in Step. Before
+// returning it unwinds the pending-request marks the scheduler set (a
+// gossipExpiry at or below the current round is behaviourally identical
+// to the zero "no pending request" state, so resetting the scheduled IDs
+// to 0 restores the exact candidate set), which makes repeated calls
+// schedule identical work — the property a benchmark iteration needs.
 func (w *World) BenchSchedulePhase(clock *sim.Clock) int {
 	w.round = clock.Round()
+	w.beginRound()
 	var sample metrics.RoundSample
 	snaps := w.exchangePhase(&sample)
 	index := w.buildIndex()

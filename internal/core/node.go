@@ -188,14 +188,14 @@ func (t *segTrack) advanceTo(lo segment.ID) {
 // Fresh reports whether the node should consider fetching id: absent from
 // the buffer and not pending on either path.
 func (n *Node) Fresh(id segment.ID, round int) bool {
-	if n.Buf.Has(id) {
-		return false
-	}
+	return !n.Buf.Has(id) && !n.pending(id, round)
+}
+
+// pending reports whether a gossip request or a pre-fetch for id is still
+// unexpired at round.
+func (n *Node) pending(id segment.ID, round int) bool {
 	s, ok := n.seg.slot(id)
-	if !ok {
-		return true
-	}
-	return int(n.seg.gossipExpiry[s]) <= round && int(n.seg.prefetchExpiry[s]) <= round
+	return ok && (int(n.seg.gossipExpiry[s]) > round || int(n.seg.prefetchExpiry[s]) > round)
 }
 
 // markGossipPending records a scheduled request with its expected arrival.

@@ -159,3 +159,15 @@ func (c Config) sourceDegree() int {
 	}
 	return 2 * c.Neighbors
 }
+
+// inboxSlots sizes a peer's inbox from the protocol's per-period traffic
+// rather than from the session size alone: per period a peer hears at
+// most a map, O asks and p pushed copies from each link, with links
+// counted at the source's degree target, the largest any peer maintains.
+// Four periods of that traffic cover an inbox goroutine that waits out
+// the driver's plan and serve passes. A small session is capped lower,
+// at 16 messages per peer in it.
+func (c Config) inboxSlots() int {
+	perPeriod := c.sourceDegree() * (1 + c.OutboundPerPeriod + c.Rate)
+	return max(256, min(4*perPeriod, 16*(c.Peers+1)))
+}

@@ -6,10 +6,14 @@
 // (internal/protocol) as the deterministic simulator: mesh repair under
 // churn (PlanRewire + GossipPicks), DHT-backed rescue of urgent holes
 // (BackupResponsible + the urgent-line prediction), fresh-segment push
-// (PlanPush) and supplier-side EDF serving with bounded carry queues
-// (PlanServe). Only the input assembly and the transport differ; the
-// decisions are the shared code paths, which is what the sim↔livenet
-// parity tests pin.
+// (PlanPush), pull scheduling over the word-parallel candidate enumerator
+// (Candidates) and supplier-side EDF serving with bounded carry queues
+// and the shared rarity view (PlanServe + RarityView). Only the input
+// assembly and the transport differ; the decisions are the shared code
+// paths, which is what the sim↔livenet parity tests pin. Neighbour maps
+// lag by up to a period here, so they take the enumerator's shifting
+// path where the simulator's aligned maps are read in place; suppliers
+// come out in ascending neighbour order in both runtimes.
 package livenet
 
 import (
@@ -65,15 +69,20 @@ type Stats struct {
 	AsksReceived  int64
 	GrantsSent    int64
 	GrantsEvicted int64
-	// Socket-path loss accounting, separable by mechanism so a CI gate
-	// (or a human reading the stats line) can tell WAN loss from local
-	// overload: TransportDropped counts datagrams discarded because the
-	// node's own inbox was full, ShapeDropped datagrams the traffic
-	// shaper consumed as injected link loss, ShapeDelayed datagrams it
-	// released late (latency, jitter or bandwidth queueing). Resyncs
-	// counts clock re-anchor jumps taken (see Config.Resync). All zero
-	// on the in-process channel path.
+	// Loss accounting, separable by mechanism so a CI gate (or a human
+	// reading the stats line) can tell WAN loss from local overload:
+	// TransportDropped counts messages discarded because a receiving
+	// inbox was full (every peer's on the in-process channel path, the
+	// node's own on the socket path), and InboxHighWater is the deepest
+	// inbox backlog a delivery left behind, the margin the inbox size
+	// (Config.inboxSlots) is judged against. ShapeDropped counts
+	// datagrams the traffic shaper consumed as injected link loss,
+	// ShapeDelayed datagrams it released late (latency, jitter or
+	// bandwidth queueing). Resyncs counts clock re-anchor jumps taken
+	// (see Config.Resync). The shaper and re-sync counters are zero on
+	// the in-process channel path.
 	TransportDropped int64
+	InboxHighWater   int64
 	ShapeDropped     int64
 	ShapeDelayed     int64
 	Resyncs          int
@@ -121,7 +130,7 @@ func Run(ctx context.Context, cfg Config, periods int) Stats {
 	// gating) must see the same value.
 	cfg.PlaybackLagPeriods = cfg.lagPeriods()
 	space := dht.NewSpace(ringSpace)
-	nw := newNetwork(max(256, 16*(cfg.Peers+1)))
+	nw := newNetwork(cfg.inboxSlots())
 	st := &counters{}
 	peers := make(map[int]*peer)
 	var wg sync.WaitGroup
@@ -155,7 +164,8 @@ func Run(ctx context.Context, cfg Config, periods int) Stats {
 			return
 		}
 		pa, pb := peers[a], peers[b]
-		pa.links[b], pb.links[a] = true, true
+		pa.link(b)
+		pb.link(a)
 		pa.nbrSeen[b], pb.nbrSeen[a] = 0, 0
 	}
 	for i := 1; i <= cfg.Peers; i++ {
@@ -300,6 +310,8 @@ func Run(ctx context.Context, cfg Config, periods int) Stats {
 	stats.AsksReceived = st.asksReceived.Load()
 	stats.GrantsSent = st.grantsSent.Load()
 	stats.GrantsEvicted = st.grantsEvicted.Load()
+	stats.TransportDropped = nw.Dropped()
+	stats.InboxHighWater = nw.HighWater()
 	if playingSamples > 0 {
 		stats.Continuity = float64(continuous) / float64(playingSamples)
 	}

@@ -46,6 +46,11 @@ func TestLiveSessionDeliversAndPlays(t *testing.T) {
 	if st.PushDelivered == 0 {
 		t.Fatal("dissemination engine ran but no push deliveries landed")
 	}
+	// The inbox is sized from the per-period protocol bound, not from the
+	// audience; a session must never overflow it.
+	if st.TransportDropped != 0 || st.InboxHighWater <= 0 || st.InboxHighWater > int64(cfg.inboxSlots()) {
+		t.Fatalf("inbox: %d dropped, high-water %d of %d slots", st.TransportDropped, st.InboxHighWater, cfg.inboxSlots())
+	}
 }
 
 func TestLiveSessionHonoursContext(t *testing.T) {

@@ -72,6 +72,7 @@ type network struct {
 	inboxes  map[int]chan Message
 	nextID   int
 	inboxCap int
+	inboxMeter
 }
 
 func newNetwork(inboxCap int) *network {
@@ -115,12 +116,7 @@ func (nw *network) Send(to int, m Message) bool {
 	if !ok {
 		return false
 	}
-	select {
-	case ch <- m:
-		return true
-	default:
-		return false
-	}
+	return nw.offer(ch, m)
 }
 
 // members returns the registered peer IDs in ascending order.

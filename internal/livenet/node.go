@@ -84,7 +84,7 @@ func NewNode(cfg Config, nc NodeConfig) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := newUDPTransport(nc.Listen, nc.ID, max(256, 16*(cfg.Peers+1)))
+	tr, err := newUDPTransport(nc.Listen, nc.ID, cfg.inboxSlots())
 	if err != nil {
 		return nil, err
 	}
@@ -334,6 +334,7 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 	stats.GrantsSent = n.st.grantsSent.Load()
 	stats.GrantsEvicted = n.st.grantsEvicted.Load()
 	stats.TransportDropped = n.tr.Dropped()
+	stats.InboxHighWater = n.tr.HighWater()
 	stats.ShapeDropped = n.tr.shaper.Dropped()
 	stats.ShapeDelayed = n.tr.shaper.Delayed()
 	if playingSamples > 0 {

@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -65,12 +66,16 @@ type peer struct {
 	// in-process candidate pools exactly as before the seam.
 	nodeMode bool
 
-	mu      sync.Mutex
-	buf     *buffer.Buffer
-	backup  *dht.Store
-	links   map[int]bool
-	nbrMaps map[int]buffer.Map
-	nbrSeen map[int]int
+	mu     sync.Mutex
+	buf    *buffer.Buffer
+	backup *dht.Store
+	// links is the connected-neighbour set; change it only through link
+	// and unlink, which keep nbrs, its ascending form, current.
+	links     map[int]bool
+	nbrs      []overlay.NodeID
+	nbrsStale bool
+	nbrMaps   map[int]buffer.Map
+	nbrSeen   map[int]int
 	// overheard is the adoption candidate pool: peer IDs learned from
 	// piggybacked membership gossip, stamped with the period heard.
 	overheard map[int]int
@@ -91,7 +96,7 @@ type peer struct {
 	// requests accumulated since the last serve.
 	carry []protocol.Request
 	asks  []protocol.Ask
-	// lastRequested holds the previous period's per-supplier ask counts.
+	// requested holds the previous period's per-supplier ask counts.
 	// A livenet supplier serves at its next period boundary, so a
 	// request's data arrives one period after the ask; crediting the
 	// rate controller on the period the reply is due keeps requests and
@@ -99,7 +104,7 @@ type peer struct {
 	// this, every ask looks unanswered in its own period and the service
 	// estimates decay until the scheduler deems every supplier too slow
 	// to bother asking (measured: pull traffic collapses to zero).
-	lastRequested map[int]int
+	requested []supplierAsks
 
 	// clockSeen is the highest period stamp heard from any peer (wire
 	// v2 stamps every message with the sender's clock). Node mode
@@ -136,6 +141,20 @@ type peer struct {
 	// serveScratch backs PlanServe's request staging across periods; the
 	// granted slice it aliases is consumed before the next period plans.
 	serveScratch protocol.ServeScratch
+
+	// The pull path's reusable scratch: the candidate enumerator's words
+	// and arenas with its neighbour-map staging, the scheduling policy's
+	// request arena, and the serve pass's rarity view.
+	cand     protocol.CandidateScratch
+	candNbrs []protocol.NeighbourMap
+	sched    scheduler.Scratch
+	rarity   protocol.RarityView
+}
+
+// supplierAsks is how many requests one supplier received from this peer
+// in a period.
+type supplierAsks struct {
+	supplier, count int
 }
 
 // peerView implements protocol.ViewProvider over what this peer learned
@@ -236,7 +255,6 @@ func newPeer(tr Transport, id int, inbox chan Message, cfg Config, space dht.Spa
 		ctrl:          bandwidth.NewController(0.3, float64(cfg.Rate)),
 		pending:       make(map[segment.ID]int),
 		rescuePending: make(map[segment.ID]int),
-		lastRequested: make(map[int]int),
 		curPeriod:     joinPeriod,
 		lastReplace:   joinPeriod - 1000, // no artificial cooldown at birth
 	}
@@ -352,7 +370,7 @@ func (p *peer) handle(m Message) {
 		// stamps the reply with the current period (the joiner's clock
 		// sync) and a membership sample (its first adoption candidates) —
 		// the bootstrap handshake of the socket path.
-		p.links[m.From] = true
+		p.link(m.From)
 		p.nbrSeen[m.From] = p.curPeriod
 		delete(p.overheard, m.From)
 		snap := p.buf.Snapshot()
@@ -365,16 +383,14 @@ func (p *peer) handle(m Message) {
 		}
 		p.send(m.From, reply)
 	case msgConnectOK:
-		p.links[m.From] = true
+		p.link(m.From)
 		p.nbrSeen[m.From] = p.curPeriod
 		delete(p.overheard, m.From)
 		if m.Map != nil {
 			p.nbrMaps[m.From] = *m.Map
 		}
 	case msgBye:
-		delete(p.links, m.From)
-		delete(p.nbrMaps, m.From)
-		p.ctrl.Forget(m.From)
+		p.unlink(m.From)
 	}
 }
 
@@ -449,15 +465,47 @@ func (p *peer) receiveData(m Message) {
 	}
 }
 
-// neighbourNodeIDs returns the connected neighbours as overlay IDs in
-// ascending order (the protocol functions' canonical neighbour form).
-func (p *peer) neighbourNodeIDs() []overlay.NodeID {
-	out := make([]overlay.NodeID, 0, len(p.links))
-	for id := range p.links {
-		out = append(out, overlay.NodeID(id))
+// link and unlink add and remove a connected neighbour; unlink also drops
+// its announced map and its rate estimate.
+func (p *peer) link(id int) {
+	if !p.links[id] {
+		p.links[id] = true
+		p.nbrsStale = true
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+}
+
+func (p *peer) unlink(id int) {
+	if p.links[id] {
+		delete(p.links, id)
+		p.nbrsStale = true
+	}
+	delete(p.nbrMaps, id)
+	p.ctrl.Forget(id)
+}
+
+// neighbourNodeIDs returns the connected neighbours as overlay IDs in
+// ascending order (the protocol functions' canonical neighbour form). The
+// slice is rebuilt, never rewritten, when a link changes, so callers may
+// keep iterating it across a link or unlink; it is read-only.
+func (p *peer) neighbourNodeIDs() []overlay.NodeID {
+	if p.nbrsStale {
+		nbrs := make([]overlay.NodeID, 0, len(p.links))
+		for id := range p.links {
+			nbrs = append(nbrs, overlay.NodeID(id))
+		}
+		slices.Sort(nbrs)
+		p.nbrs, p.nbrsStale = nbrs, false
+	}
+	return p.nbrs
+}
+
+// inFlight reports whether a pull or a rescue for seg is still pending.
+func (p *peer) inFlight(seg segment.ID) bool {
+	if _, ok := p.pending[seg]; ok {
+		return true
+	}
+	_, ok := p.rescuePending[seg]
+	return ok
 }
 
 // periodPlan is the first half of a scheduling period, run for every peer
@@ -477,10 +525,10 @@ func (p *peer) periodPlan(now int, pos segment.ID, rv ringView, members map[int]
 	p.rv = rv
 	// This period's serve pass answers the asks scheduled below; credit
 	// them so the end-of-period Tick pairs requests with arrivals.
-	for s, count := range p.lastRequested {
-		p.ctrl.NoteRequested(s, count)
+	for _, a := range p.requested {
+		p.ctrl.NoteRequested(a.supplier, a.count)
 	}
-	p.lastRequested = map[int]int{}
+	p.requested = p.requested[:0]
 	p.buf.AdvanceTo(pos)
 	p.backup.PruneBelow(pos)
 	for seg, exp := range p.pending {
@@ -571,9 +619,15 @@ func (p *peer) pushFresh(now int) {
 // code paths the simulator's serveSupplier drives.
 func (p *peer) servePeriod(now int, members map[int]bool) {
 	asks := p.asks
-	p.asks = nil
+	p.asks = p.asks[:0]
 	var res protocol.ServeResult
 	if p.cfg.Engine {
+		p.rarity.Reset(p.cfg.BufferSegments, p.pos)
+		for _, nb := range p.neighbourNodeIDs() {
+			if nm, ok := p.nbrMaps[int(nb)]; ok {
+				p.rarity.Add(nm)
+			}
+		}
 		res = protocol.PlanServe(protocol.ServeInput{
 			Carried:     p.carry,
 			Fresh:       asks,
@@ -588,17 +642,7 @@ func (p *peer) servePeriod(now int, members map[int]bool) {
 				nm, ok := p.nbrMaps[int(id)]
 				return ok && nm.Has(seg)
 			},
-			Rarity: func(seg segment.ID) float64 {
-				var positions []int
-				for nb := range p.links {
-					if nm, ok := p.nbrMaps[nb]; ok {
-						if pft, ok := nm.PositionFromTail(seg); ok {
-							positions = append(positions, pft)
-						}
-					}
-				}
-				return protocol.SupplierRarity(p.cfg.BufferSegments, positions)
-			},
+			Rarity: p.rarity.Rarity,
 		}, &p.serveScratch)
 		p.carry = res.Queued
 		p.st.queueCarried.Add(int64(len(res.Queued)))
@@ -631,10 +675,8 @@ func (p *peer) maintainMesh(now int, members map[int]bool) {
 	for nb := range p.links {
 		silent := now-p.nbrSeen[nb] > p.cfg.DeadAfterPeriods
 		if !members[nb] || silent {
-			delete(p.links, nb)
-			delete(p.nbrMaps, nb)
+			p.unlink(nb)
 			delete(p.overheard, nb)
-			p.ctrl.Forget(nb)
 			p.st.deadDropped.Add(1)
 		}
 	}
@@ -680,9 +722,7 @@ func (p *peer) maintainMesh(now int, members map[int]bool) {
 		}
 		p.lastReplace = now
 		p.st.replaced.Add(1)
-		delete(p.links, v)
-		delete(p.nbrMaps, v)
-		p.ctrl.Forget(v)
+		p.unlink(v)
 		p.send(v, Message{From: p.id, Kind: msgBye})
 		delete(p.overheard, cand)
 		p.send(cand, Message{From: p.id, Kind: msgConnect})
@@ -723,41 +763,23 @@ func (p *peer) schedulePulls(now int) {
 	if budget <= 0 {
 		return
 	}
-	found := map[segment.ID][]scheduler.Supplier{}
-	for nb, m := range p.nbrMaps {
-		if !p.links[nb] {
-			continue
-		}
-		// Clamp to the fetch window: an older map's window can start
-		// below the current playback position, and segments behind pos
-		// are pruned on both sides — asking for them burns the whole
-		// inbound budget on unfulfillable requests (the simulator's
-		// schedulePhase applies the same [pos, edge) floor).
-		w := m.Window()
-		if w.Lo < p.pos {
-			w.Lo = p.pos
-		}
-		for id := w.Lo; id < w.Hi; id++ {
-			if !m.Has(id) || p.buf.Has(id) {
-				continue
-			}
-			if _, ok := p.pending[id]; ok {
-				continue
-			}
-			if _, ok := p.rescuePending[id]; ok {
-				continue
-			}
-			pft, _ := m.PositionFromTail(id)
-			found[id] = append(found[id], scheduler.Supplier{
-				Node: nb, Rate: p.ctrl.Rate(nb), PositionFromTail: pft,
-			})
+	// The fetch frame is the peer's own window at the playback position.
+	// An older map's window can start below pos, and segments behind pos
+	// are pruned on both sides — asking for them burns the whole inbound
+	// budget on unfulfillable requests (the simulator's schedulePhase
+	// applies the same [pos, edge) floor). The top bounds the work a map
+	// from a peer whose clock runs ahead (or a forged one) can cause.
+	// Maps lag by up to a period, so they reach the enumerator's shifting
+	// path.
+	frame := segment.Window{Lo: p.pos, Hi: p.pos + segment.ID(p.cfg.BufferSegments)}
+	nbrs := p.candNbrs[:0]
+	for _, nb := range p.neighbourNodeIDs() {
+		if m, ok := p.nbrMaps[int(nb)]; ok {
+			nbrs = append(nbrs, protocol.NeighbourMap{ID: nb, Rate: p.ctrl.Rate(int(nb)), Map: m})
 		}
 	}
-	cands := make([]scheduler.Candidate, 0, len(found))
-	for id, sup := range found {
-		cands = append(cands, scheduler.Candidate{ID: id, Suppliers: sup})
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].ID < cands[j].ID })
+	p.candNbrs = nbrs
+	p.sched.Reset()
 	in := scheduler.Input{
 		PriorityInput: scheduler.PriorityInput{
 			Play:         p.pos,
@@ -767,23 +789,31 @@ func (p *peer) schedulePulls(now int) {
 		},
 		Tau:           sim.Second,
 		InboundBudget: budget,
-		Candidates:    cands,
+		Candidates:    protocol.Candidates(&p.cand, frame, p.buf.View(), nbrs, p.inFlight),
+		Scratch:       &p.sched,
 		JitterSeed:    p.cfg.Seed ^ uint64(p.id)*0x9e3779b97f4a7c15,
 		RarityNoise:   0.3,
 	}
-	reqs := (scheduler.Greedy{}).Schedule(in)
-	perSupplier := map[int]int{}
-	for _, r := range reqs {
+	for _, r := range (scheduler.Greedy{}).Schedule(in) {
 		p.st.asksSent.Add(1)
 		p.pending[r.ID] = now + p.cfg.retryPeriods()
-		perSupplier[r.Supplier]++
+		p.noteAsk(r.Supplier)
 		p.send(r.Supplier, Message{
 			From: p.id, Kind: msgRequest, Seg: r.ID, Deadline: p.playDeadline(r.ID),
 		})
 	}
-	// Credited next period, when the supplier's serve actually replies
-	// (see lastRequested).
-	p.lastRequested = perSupplier
+}
+
+// noteAsk counts one request to supplier, credited next period when the
+// supplier's serve actually replies (see requested).
+func (p *peer) noteAsk(supplier int) {
+	for i := range p.requested {
+		if p.requested[i].supplier == supplier {
+			p.requested[i].count++
+			return
+		}
+	}
+	p.requested = append(p.requested, supplierAsks{supplier: supplier, count: 1})
 }
 
 // playDeadline is the period in which a segment plays — the EDF key the
@@ -801,14 +831,7 @@ func (p *peer) rescueUrgent(now int) {
 	if p.alpha == nil {
 		return
 	}
-	plan := prefetch.Predict(p.buf, p.pos, p.alpha.Value(), p.cfg.RescueLimit,
-		func(id segment.ID) bool {
-			if _, ok := p.pending[id]; ok {
-				return true
-			}
-			_, ok := p.rescuePending[id]
-			return ok
-		})
+	plan := prefetch.Predict(p.buf, p.pos, p.alpha.Value(), p.cfg.RescueLimit, p.inFlight)
 	if !plan.Triggered {
 		return
 	}

@@ -23,11 +23,11 @@ import (
 // strips on decode — peers keep talking in small integer IDs on both
 // transports.
 type udpTransport struct {
-	self    int
-	conn    *net.UDPConn
-	inbox   chan Message
-	closed  atomic.Bool
-	dropped atomic.Int64
+	self   int
+	conn   *net.UDPConn
+	inbox  chan Message
+	closed atomic.Bool
+	inboxMeter
 
 	// shaper, when non-nil, injects WAN conditions on the egress path:
 	// seeded per-link loss, latency/jitter, reorder and bandwidth caps
@@ -48,7 +48,8 @@ const maxBook = 8192
 
 // newUDPTransport binds listen ("host:port"; port 0 picks a free one)
 // and starts the read loop. The returned transport's inbox is the peer's
-// receive channel, capacity inboxCap with drop-on-overflow.
+// receive channel, capacity inboxCap with drop-on-overflow (counted by
+// the embedded inboxMeter).
 func newUDPTransport(listen string, self, inboxCap int) (*udpTransport, error) {
 	addr, err := net.ResolveUDPAddr("udp", listen)
 	if err != nil {
@@ -79,10 +80,6 @@ func (t *udpTransport) LocalAddr() string { return t.conn.LocalAddr().String() }
 
 // Inbox returns the receive channel the read loop delivers into.
 func (t *udpTransport) Inbox() chan Message { return t.inbox }
-
-// Dropped returns how many decoded messages were discarded because the
-// inbox was full — the socket path's equivalent of channel-send drops.
-func (t *udpTransport) Dropped() int64 { return t.dropped.Load() }
 
 // Learn records a peer's address, overwriting any previous one (a peer
 // that rebinds is reached at its latest known socket).
@@ -205,10 +202,6 @@ func (t *udpTransport) readLoop() {
 			}
 		}
 		m.GossipAddrs = nil
-		select {
-		case t.inbox <- m:
-		default:
-			t.dropped.Add(1)
-		}
+		t.offer(t.inbox, m)
 	}
 }

@@ -40,10 +40,23 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		f.Add(frame)
 	}
+	// A map announcement with an availability bit set past the map's
+	// size: the decoder must reject it, since word-level consumers would
+	// read the bit as an ID beyond the window.
+	frame, err := EncodeMessage(Message{Kind: msgMap, From: 4, Period: 9, Map: &buffer.Map{Lo: 40, Size: 60, Bits: []uint64{1 << 62}}})
+	if err != nil {
+		f.Fatalf("seed encode: %v", err)
+	}
+	f.Add(frame)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeMessage(data)
 		if err != nil {
 			return
+		}
+		if m.Map != nil {
+			if r := uint(m.Map.Size) & 63; r != 0 && m.Map.Bits[len(m.Map.Bits)-1]>>r != 0 {
+				t.Fatalf("decoded map of size %d advertises bits past its size: %x", m.Map.Size, m.Map.Bits)
+			}
 		}
 		frame, err := EncodeMessage(m)
 		if err != nil {

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"continustreaming/internal/buffer"
@@ -78,6 +79,13 @@ func (w *parityWorld) simServeInput() ServeInput {
 		snaps[i] = w.bufs[id].Snapshot()
 		index[id] = i
 	}
+	var rarity RarityView
+	rarity.Reset(600, 100)
+	for _, nb := range w.neighbors {
+		if j, ok := index[nb]; ok {
+			rarity.Add(snaps[j])
+		}
+	}
 	return ServeInput{
 		Carried:     w.carried(),
 		Fresh:       w.fresh(),
@@ -93,17 +101,7 @@ func (w *parityWorld) simServeInput() ServeInput {
 			j, ok := index[id]
 			return ok && snaps[j].Has(seg)
 		},
-		Rarity: func(seg segment.ID) float64 {
-			var positions []int
-			for _, nb := range w.neighbors {
-				if j, ok := index[nb]; ok {
-					if pft, ok := snaps[j].PositionFromTail(seg); ok {
-						positions = append(positions, pft)
-					}
-				}
-			}
-			return SupplierRarity(600, positions)
-		},
+		Rarity: rarity.Rarity,
 	}
 }
 
@@ -114,6 +112,13 @@ func (w *parityWorld) liveServeInput() ServeInput {
 	nbrMaps := make(map[int]buffer.Map)
 	for _, id := range w.order {
 		nbrMaps[int(id)] = w.bufs[id].Snapshot()
+	}
+	var rarity RarityView
+	rarity.Reset(600, 100)
+	for _, nb := range w.neighbors {
+		if nm, ok := nbrMaps[int(nb)]; ok {
+			rarity.Add(nm)
+		}
 	}
 	return ServeInput{
 		Carried:     w.carried(),
@@ -129,17 +134,7 @@ func (w *parityWorld) liveServeInput() ServeInput {
 			nm, ok := nbrMaps[int(id)]
 			return ok && nm.Has(seg)
 		},
-		Rarity: func(seg segment.ID) float64 {
-			var positions []int
-			for _, nb := range w.neighbors {
-				if nm, ok := nbrMaps[int(nb)]; ok {
-					if pft, ok := nm.PositionFromTail(seg); ok {
-						positions = append(positions, pft)
-					}
-				}
-			}
-			return SupplierRarity(600, positions)
-		},
+		Rarity: rarity.Rarity,
 	}
 }
 
@@ -195,6 +190,89 @@ func TestPushParitySimVsLivenet(t *testing.T) {
 	for _, s := range simPlan {
 		if s.To == 3 && (s.ID == 120 || s.ID == 121) {
 			t.Fatalf("pushed %v to a holder: %+v", s.ID, simPlan)
+		}
+	}
+}
+
+// TestCandidateParitySimVsLivenet asserts the pull scheduler sees the same
+// candidate set whichever runtime assembled it from identical maps: the
+// simulator from its snapshot slice, order index and fetch edge, livenet
+// from its announced-map table, link set and own-window frame. Both the
+// aligned maps of a BSP round and maps one period behind (livenet's
+// usual case) are checked, against the per-ID oracle as well.
+func TestCandidateParitySimVsLivenet(t *testing.T) {
+	const size, rate = 600, 10
+	for _, lag := range []segment.ID{0, rate} {
+		pos := segment.ID(100)
+		edge := pos + 60 // the live edge: nothing beyond it exists yet
+		own := buffer.New(size, pos)
+		for id := pos; id < edge; id += 3 {
+			own.Insert(id)
+		}
+		order := []overlay.NodeID{1, 2, 3, 5, 8}
+		bufs := make(map[overlay.NodeID]*buffer.Buffer)
+		for i, id := range order {
+			b := buffer.New(size, pos-lag)
+			for s := pos - lag; s < edge; s++ {
+				if (int(s)+i)%(i+2) != 0 {
+					b.Insert(s)
+				}
+			}
+			bufs[id] = b
+		}
+		rateOf := func(id overlay.NodeID) float64 { return float64(2 + id) }
+		pendingSet := map[segment.ID]bool{pos + 4: true, pos + 41: true}
+		pending := func(id segment.ID) bool { return pendingSet[id] }
+		nodeNbrs := []overlay.NodeID{2, 3, 8} // node 1's links, ascending
+
+		// Sim-shaped: snapshots aligned with order, looked up by index.
+		snaps := make([]buffer.Map, len(order))
+		index := make(map[overlay.NodeID]int)
+		for i, id := range order {
+			snaps[i] = bufs[id].SnapshotShared()
+			index[id] = i
+		}
+		var simNbrs []NeighbourMap
+		for _, nb := range nodeNbrs {
+			simNbrs = append(simNbrs, NeighbourMap{ID: nb, Rate: rateOf(nb), Map: snaps[index[nb]]})
+		}
+		simFrame := segment.Window{Lo: pos, Hi: edge}
+		var simScratch CandidateScratch
+		simCands := Candidates(&simScratch, simFrame, own.View(), simNbrs, pending)
+
+		// Livenet-shaped: announced maps keyed by peer, the link set, and
+		// the own-window frame.
+		nbrMaps := make(map[int]buffer.Map)
+		for _, id := range order {
+			nbrMaps[int(id)] = bufs[id].Snapshot()
+		}
+		links := map[int]bool{8: true, 2: true, 3: true}
+		var linked []overlay.NodeID
+		for id := range links {
+			linked = append(linked, overlay.NodeID(id))
+		}
+		slices.Sort(linked)
+		var liveNbrs []NeighbourMap
+		for _, nb := range linked {
+			if m, ok := nbrMaps[int(nb)]; ok {
+				liveNbrs = append(liveNbrs, NeighbourMap{ID: nb, Rate: rateOf(nb), Map: m})
+			}
+		}
+		liveFrame := segment.Window{Lo: pos, Hi: pos + size}
+		var liveScratch CandidateScratch
+		liveCands := Candidates(&liveScratch, liveFrame, own.View(), liveNbrs, pending)
+
+		if !reflect.DeepEqual(simCands, liveCands) {
+			t.Fatalf("lag %d: candidate sets diverged:\nsim  %+v\nlive %+v", lag, simCands, liveCands)
+		}
+		if want := scanCandidates(liveFrame, own.View(), liveNbrs, pending); !reflect.DeepEqual(liveCands, want) {
+			t.Fatalf("lag %d: candidates %+v, oracle %+v", lag, liveCands, want)
+		}
+		if len(simCands) == 0 {
+			t.Fatalf("lag %d: parity trivially satisfied by empty candidate sets", lag)
+		}
+		if shifted := liveScratch.Shifted(); (shifted == 0) != (lag == 0) {
+			t.Fatalf("lag %d: %d maps shifted", lag, shifted)
 		}
 	}
 }

@@ -70,38 +70,26 @@ type Send struct {
 	ID       segment.ID
 }
 
-// SupplierRarity evaluates the requesting-priority rarity term from the
-// supplier's point of view: positions are the segment's FIFO
-// positions-from-tail in the advertised buffers of the supplier's
-// neighbours that hold it. The product below is the requester-side
-// scheduler.Rarity (equation (2)) computed in place — same clamping,
-// same factor order — without staging the positions through a candidate;
-// a segment none of the supplier's neighbours hold is maximally rare —
-// the supplier may be its sole holder in the neighbourhood, so the empty
-// product is 1, not scheduler.Rarity's no-candidate 0.
-func SupplierRarity(bufferSize int, positions []int) float64 {
+// SupplierRarityUniform is the supplier-side rarity (see RarityView) of a
+// segment held by count neighbours that share one FIFO position — the
+// aligned-window case: when every advertised buffer opens at the shared
+// playback position, a segment's position-from-tail is identical in each
+// holder, so the holder set collapses to a popcount and the product to a
+// repeated factor. The multiply loop below performs the same operation
+// sequence as the general product over an equal-valued positions list,
+// keeping the float result bit-identical.
+func SupplierRarityUniform(bufferSize, position, count int) float64 {
+	p := rarityFactor(bufferSize, position)
 	r := 1.0
-	for _, pos := range positions {
-		p := float64(pos) / float64(bufferSize)
-		if p < 0 {
-			p = 0
-		}
-		if p > 1 {
-			p = 1
-		}
+	for i := 0; i < count; i++ {
 		r *= p
 	}
 	return r
 }
 
-// SupplierRarityUniform is SupplierRarity for count holders that share one
-// FIFO position — the aligned-window case: when every advertised buffer
-// opens at the shared playback position, a segment's position-from-tail is
-// identical in each holder, so the holder set collapses to a popcount and
-// the product to a repeated factor. The multiply loop below performs the
-// same operation sequence as SupplierRarity over an equal-valued positions
-// slice, keeping the float result bit-identical.
-func SupplierRarityUniform(bufferSize, position, count int) float64 {
+// rarityFactor is one holder's factor p_ij/B of equation (2), clamped
+// into [0, 1].
+func rarityFactor(bufferSize, position int) float64 {
 	p := float64(position) / float64(bufferSize)
 	if p < 0 {
 		p = 0
@@ -109,9 +97,5 @@ func SupplierRarityUniform(bufferSize, position, count int) float64 {
 	if p > 1 {
 		p = 1
 	}
-	r := 1.0
-	for i := 0; i < count; i++ {
-		r *= p
-	}
-	return r
+	return p
 }

@@ -142,7 +142,7 @@ type ServeInput struct {
 	// already shows a segment (it obtained it elsewhere meanwhile).
 	RequesterHas func(overlay.NodeID, segment.ID) bool
 	// Rarity evaluates the supplier-side rarity of a segment over the
-	// supplier's own neighbours' advertised maps (SupplierRarity).
+	// supplier's own neighbours' advertised maps (RarityView).
 	Rarity func(segment.ID) float64
 }
 

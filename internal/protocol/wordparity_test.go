@@ -8,6 +8,24 @@ import (
 	"continustreaming/internal/sim"
 )
 
+// SupplierRarity is the scalar rarity oracle: the product of the clamped
+// factors p_ij/B over the holders' positions-from-tail, in order, with an
+// empty product of 1.
+func SupplierRarity(bufferSize int, positions []int) float64 {
+	r := 1.0
+	for _, pos := range positions {
+		p := float64(pos) / float64(bufferSize)
+		if p < 0 {
+			p = 0
+		}
+		if p > 1 {
+			p = 1
+		}
+		r *= p
+	}
+	return r
+}
+
 // TestSupplierRarityUniformMatchesScalar checks the aligned-window rarity
 // shortcut bit for bit against the general product: when every holder
 // reports the same position-from-tail — the invariant the round pipeline's

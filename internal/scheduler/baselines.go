@@ -84,7 +84,7 @@ func (UrgencyOnly) Schedule(in Input) []Request {
 		if len(c.Suppliers) == 0 {
 			continue
 		}
-		scored = append(scored, scoredCandidate{c: c, priority: noisyUrgency(in, c)})
+		scored = append(scored, scoredCandidate{c: c, priority: noisyUrgency(&in, c)})
 	}
 	saveScored(in, scored)
 	sortByPriority(in, scored)
@@ -104,7 +104,7 @@ func (RarityOnly) Schedule(in Input) []Request {
 		if len(c.Suppliers) == 0 {
 			continue
 		}
-		scored = append(scored, scoredCandidate{c: c, priority: noisyRarity(in, c)})
+		scored = append(scored, scoredCandidate{c: c, priority: noisyRarity(&in, c)})
 	}
 	saveScored(in, scored)
 	sortByPriority(in, scored)

@@ -95,8 +95,8 @@ func scoreCandidates(in Input) []scoredCandidate {
 		if len(c.Suppliers) == 0 {
 			continue
 		}
-		u := noisyUrgency(in, c)
-		r := noisyRarity(in, c)
+		u := noisyUrgency(&in, c)
+		r := noisyRarity(&in, c)
 		p := u
 		if r > p {
 			p = r
