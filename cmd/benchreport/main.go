@@ -50,7 +50,6 @@ import (
 	"strings"
 	"time"
 
-	"continustreaming/internal/churn"
 	"continustreaming/internal/core"
 	"continustreaming/internal/dht"
 	"continustreaming/internal/experiment"
@@ -368,21 +367,12 @@ func benchStep(name string, nodes, workers, timedRounds int, seed uint64) BenchR
 	}
 }
 
-// warmWorld builds the standard churn-enabled benchmark world and runs it
-// past the playback delay, so every subsequent phase carries its full
-// steady-state load.
+// warmWorld is core.BenchWorld, exiting on error.
 func warmWorld(name string, nodes, workers int, seed uint64) (*core.World, *sim.Engine) {
-	cfg := core.DefaultConfig(nodes)
-	cfg.Profile = core.ProfileContinuStreaming()
-	cfg.Churn = churn.DefaultConfig()
-	cfg.Workers = workers
-	cfg.Seed = seed
-	w, err := core.NewWorld(cfg)
+	w, engine, err := core.BenchWorld(nodes, workers, seed)
 	if err != nil {
 		fatalf("%s: %v", name, err)
 	}
-	engine := sim.NewEngine(w, cfg.Tau)
-	engine.Run(cfg.PlaybackDelayRounds + 2)
 	return w, engine
 }
 

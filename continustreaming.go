@@ -53,16 +53,18 @@
 // # Live runtime
 //
 // RunLive executes the same protocol over real message passing — one
-// goroutine per peer, channels as links, a wall-clock ticker as the
+// livenet node per peer, channels as links, a wall-clock ticker as the
 // scheduling period — driving the identical transport-agnostic decision
 // core (internal/protocol) the simulator uses: mesh repair under churn,
-// DHT-backed rescue, fresh-segment push and EDF serving. LiveConfig's
-// kill/join knobs script a churn session; this is the in-process repro
-// of the paper's planned real-network validation. Setting
-// LiveConfig.Listen switches to the multi-process socket path: the
-// process runs one peer over UDP, bootstrapping through the rendezvous
-// point at LiveConfig.Bootstrap (see cmd/livenode for the per-process
-// binary and examples/multiproc for a whole-session driver).
+// DHT-backed rescue, fresh-segment push and EDF serving. Peers learn who
+// is alive only from the messages and gossip they receive, and newcomers
+// join through the source as rendezvous point. LiveConfig's kill/join
+// knobs script a churn session; this is the in-process repro of the
+// paper's planned real-network validation. Setting LiveConfig.Listen
+// switches to the multi-process socket path: the process runs the same
+// node over UDP, bootstrapping through the rendezvous point at
+// LiveConfig.Bootstrap (see cmd/livenode for the per-process binary and
+// examples/multiproc for a whole-session driver).
 //
 // See cmd/continusim for the full experiment driver, examples/ for runnable
 // scenarios, and EXPERIMENTS.md for paper-versus-measured results.
@@ -403,7 +405,7 @@ type LiveConfig struct {
 	// port 0 picks a free one) instead of hosting the whole session
 	// in-process. Messages cross real process boundaries as wire-encoded
 	// datagrams; membership comes from the rendezvous bootstrap and
-	// gossip instead of an in-process registry.
+	// gossip, as it does in-process.
 	Listen string
 	// Bootstrap is the rendezvous point's address to join through. Empty
 	// with Listen set makes this process the source/RP (which must be
@@ -472,10 +474,13 @@ type LiveResult struct {
 }
 
 // RunLive executes the protocol over real message passing for the given
-// number of periods: one goroutine per peer, channels as links, the same
-// internal/protocol decision core as the simulator (mesh repair, DHT
-// rescue, push, EDF serving). It blocks until the session drains or ctx
-// is cancelled.
+// number of periods, with the same internal/protocol decision core as
+// the simulator (mesh repair, DHT rescue, push, EDF serving). Without
+// Listen it hosts the whole session in-process: one livenet node per
+// peer over channels, all driven by one ticker, kills applied as node
+// exits and joins bootstrapping through the source. With Listen it runs
+// this process's one node over UDP on the node's own clock. It blocks
+// until the session drains or ctx is cancelled.
 func RunLive(ctx context.Context, cfg LiveConfig, periods int) (LiveResult, error) {
 	if periods <= 0 {
 		return LiveResult{}, fmt.Errorf("continustreaming: non-positive period count %d", periods)

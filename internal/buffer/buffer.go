@@ -202,41 +202,6 @@ func (b *Buffer) AppendMissingIn(dst []segment.ID, w segment.Window) []segment.I
 	return dst
 }
 
-// MissingMask returns a bitmask over w — bit i set when segment w.Lo+i is
-// absent — for windows at most 64 IDs wide (wider windows are truncated to
-// the first 64). IDs outside the buffer window count as absent, matching
-// Has. Push planning uses it to collapse per-(segment, neighbour)
-// availability probes into one word per neighbour.
-func (b *Buffer) MissingMask(w segment.Window) uint64 {
-	width := int(w.Hi - w.Lo)
-	if width <= 0 {
-		return 0
-	}
-	mask := ^uint64(0)
-	if width < 64 {
-		mask = 1<<uint(width) - 1
-	}
-	var present uint64
-	iv := w.Intersect(b.Window())
-	if iv.Lo < iv.Hi {
-		off := int(iv.Lo - b.lo)
-		n := int(iv.Hi - iv.Lo)
-		if n > 64 {
-			n = 64
-		}
-		wi, sh := off>>6, uint(off)&63
-		got := b.bits[wi] >> sh
-		if sh != 0 && wi+1 < len(b.bits) {
-			got |= b.bits[wi+1] << (64 - sh)
-		}
-		if n < 64 {
-			got &= 1<<uint(n) - 1
-		}
-		present = got << uint(iv.Lo-w.Lo)
-	}
-	return mask &^ present
-}
-
 // CountIn returns how many segments in w (clipped to the window) are held.
 func (b *Buffer) CountIn(w segment.Window) int {
 	w = w.Intersect(b.Window())

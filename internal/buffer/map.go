@@ -119,3 +119,43 @@ func (m Map) FreshIn(w segment.Window, keep func(segment.ID) bool) []segment.ID 
 	}
 	return out
 }
+
+// MissingWords writes the absence bitmap of w into dst: bit i of
+// dst[i/64] is set when segment w.Lo+i is not advertised. IDs outside the
+// map's window count as absent, matching Has. dst covers the first
+// 64·len(dst) IDs of w; bits at or past w's width stay clear. Push
+// planning builds one such lack row per neighbour.
+func (m Map) MissingWords(dst []uint64, w segment.Window) {
+	width := int(w.Hi - w.Lo)
+	off := int(w.Lo - m.Lo)
+	for k := range dst {
+		lo := k << 6
+		switch {
+		case width <= lo:
+			dst[k] = 0
+		case width-lo < 64:
+			dst[k] = ^m.wordAt(off+lo) & (1<<uint(width-lo) - 1)
+		default:
+			dst[k] = ^m.wordAt(off + lo)
+		}
+	}
+}
+
+// wordAt returns the 64 availability bits starting at window offset off,
+// which may lie below or past the window; positions outside it read as
+// zero. Bits past Size are zero in every map (UnmarshalMap rejects others),
+// so a read running off the end needs no masking.
+func (m Map) wordAt(off int) uint64 {
+	if off <= -64 || off >= m.Size {
+		return 0
+	}
+	if off < 0 {
+		return m.wordAt(0) << uint(-off)
+	}
+	wi, sh := off>>6, uint(off)&63
+	got := m.Bits[wi] >> sh
+	if sh != 0 && wi+1 < len(m.Bits) {
+		got |= m.Bits[wi+1] << (64 - sh)
+	}
+	return got
+}

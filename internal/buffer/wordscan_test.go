@@ -69,33 +69,36 @@ func TestAppendMissingInPreservesPrefix(t *testing.T) {
 	}
 }
 
-// TestMissingMaskMatchesReference checks the one-word absence mask against
-// per-ID probes: bit i of the mask must report w.Lo+i absent, with IDs
-// outside the buffer window counting as absent and windows wider than 64
-// truncated to the first word.
-func TestMissingMaskMatchesReference(t *testing.T) {
-	rng := sim.DeriveRNG(1, 0xa11d)
+// TestMissingWordsMatchesReference checks absence rows against per-ID
+// probes, over a buffer's live view (the simulator's push probe) and over
+// a snapshot (livenet's announced maps): every bit below the window width
+// reports the ID absent, with IDs outside the buffer window counting as
+// absent, bits past the width stay clear, and rows shorter than the width
+// cover only their leading words.
+func TestMissingWordsMatchesReference(t *testing.T) {
+	rng := sim.DeriveRNG(1, 0x3d0f)
 	for trial := 0; trial < 2000; trial++ {
 		size := 1 + rng.Intn(200)
 		lo := segment.ID(rng.Intn(500))
 		b := randomBuffer(rng, size, lo)
+		m := b.View()
+		if trial%2 == 1 {
+			m = b.Snapshot()
+		}
 		wlo := lo + segment.ID(rng.Intn(2*size+20)) - segment.ID(size/2+10)
-		w := segment.Window{Lo: wlo, Hi: wlo + segment.ID(rng.Intn(90))}
-
-		got := b.MissingMask(w)
-
-		width := int(w.Hi - w.Lo)
-		if width > 64 {
-			width = 64
+		w := segment.Window{Lo: wlo, Hi: wlo + segment.ID(rng.Intn(260))}
+		row := make([]uint64, 1+rng.Intn(5))
+		for k := range row {
+			row[k] = rng.Uint64() // stale contents must be overwritten
 		}
-		var want uint64
-		for i := 0; i < width; i++ {
-			if !b.Has(w.Lo + segment.ID(i)) {
-				want |= 1 << uint(i)
+
+		m.MissingWords(row, w)
+
+		for i := 0; i < 64*len(row); i++ {
+			want := i < int(w.Hi-w.Lo) && !b.Has(w.Lo+segment.ID(i))
+			if got := row[i>>6]&(1<<uint(i&63)) != 0; got != want {
+				t.Fatalf("trial %d (size=%d lo=%d w=%+v words=%d): bit %d = %v, want %v", trial, size, lo, w, len(row), i, got, want)
 			}
-		}
-		if got != want {
-			t.Fatalf("trial %d (size=%d lo=%d w=%+v): mask %064b, want %064b", trial, size, lo, w, got, want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"continustreaming/internal/churn"
 	"continustreaming/internal/metrics"
 	"continustreaming/internal/sim"
 )
@@ -11,6 +12,27 @@ import (
 // another phase's improvement. The seams run real phase drivers against a
 // warmed world; they exist for measurement only and are not part of the
 // simulation API.
+
+// BenchWorld builds the standard benchmark world — a churn-enabled
+// ContinuStreaming overlay of n nodes on the given worker-pool width and
+// seed — and runs it past the playback delay, so every phase a caller
+// then times (scheduling, transfers, deliveries, pre-fetch, maintenance,
+// churn, repair) carries its full steady-state load. The go test
+// benchmarks and cmd/benchreport both warm up through it.
+func BenchWorld(n, workers int, seed uint64) (*World, *sim.Engine, error) {
+	cfg := DefaultConfig(n)
+	cfg.Profile = ProfileContinuStreaming()
+	cfg.Churn = churn.DefaultConfig()
+	cfg.Workers = workers
+	cfg.Seed = seed
+	w, err := NewWorld(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	engine := sim.NewEngine(w, cfg.Tau)
+	engine.Run(cfg.PlaybackDelayRounds + 2)
+	return w, engine, nil
+}
 
 // BenchMaintenanceRound executes one maintenance phase against the current
 // world state — the same call the round pipeline makes. Repeated calls are

@@ -5,32 +5,29 @@ import (
 	"runtime"
 	"testing"
 
-	"continustreaming/internal/churn"
 	"continustreaming/internal/sim"
 )
 
 // benchStep measures steady-state World.Step cost at population n with the
-// given worker-pool width. The world warms up past the playback delay
-// first so every phase (scheduling, transfers, deliveries, pre-fetch,
-// churn) carries its full load during the timed rounds.
+// given worker-pool width on the warmed benchmark world.
 func benchStep(b *testing.B, n, workers int) {
 	b.Helper()
-	cfg := DefaultConfig(n)
-	cfg.Profile = ProfileContinuStreaming()
-	cfg.Churn = churn.DefaultConfig()
-	cfg.Workers = workers
-	cfg.Seed = 1
-	w, err := NewWorld(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	engine := sim.NewEngine(w, cfg.Tau)
-	engine.Run(cfg.PlaybackDelayRounds + 2)
+	_, engine := benchWorld(b, n, workers)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		engine.Run(1)
 	}
+}
+
+// benchWorld is BenchWorld at seed 1, failing the benchmark on error.
+func benchWorld(b *testing.B, n, workers int) (*World, *sim.Engine) {
+	b.Helper()
+	w, engine, err := BenchWorld(n, workers, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return w, engine
 }
 
 // BenchmarkStep10k drives one scheduling period of a 10,000-node overlay
@@ -65,13 +62,6 @@ func BenchmarkStep1k(b *testing.B) {
 	}
 }
 
-// BenchmarkMaintenance10k isolates the neighbour-maintenance phase on a
-// warmed 10,000-node world under churn: membership-gossip scatter, hear
-// delivery and dead-neighbour cleanup, rewire planning through the
-// provider seam, and the sequential intent application. The phase runs
-// entirely out of the round-lived shard arenas, so allocs/op is the
-// headline number — it must stay near zero as the planning fast path and
-// arena reuse carry the steady state.
 // BenchmarkSchedule10k isolates the scheduling slice of a round — buffer-
 // map exchange, word-parallel candidate enumeration, Algorithm 1 selection
 // — on a warmed 10,000-node world under churn, through the same exported
@@ -79,17 +69,7 @@ func BenchmarkStep1k(b *testing.B) {
 // pending-request marks it sets, so every iteration schedules the
 // identical candidate load.
 func BenchmarkSchedule10k(b *testing.B) {
-	cfg := DefaultConfig(10000)
-	cfg.Profile = ProfileContinuStreaming()
-	cfg.Churn = churn.DefaultConfig()
-	cfg.Workers = 1
-	cfg.Seed = 1
-	w, err := NewWorld(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	engine := sim.NewEngine(w, cfg.Tau)
-	engine.Run(cfg.PlaybackDelayRounds + 2)
+	w, engine := benchWorld(b, 10000, 1)
 	want := w.BenchSchedulePhase(engine.Clock())
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -100,18 +80,15 @@ func BenchmarkSchedule10k(b *testing.B) {
 	}
 }
 
+// BenchmarkMaintenance10k isolates the neighbour-maintenance phase on a
+// warmed 10,000-node world under churn: membership-gossip scatter, hear
+// delivery and dead-neighbour cleanup, rewire planning through the
+// provider seam, and the sequential intent application. The phase runs
+// entirely out of the round-lived shard arenas, so allocs/op is the
+// headline number — it must stay near zero as the planning fast path and
+// arena reuse carry the steady state.
 func BenchmarkMaintenance10k(b *testing.B) {
-	cfg := DefaultConfig(10000)
-	cfg.Profile = ProfileContinuStreaming()
-	cfg.Churn = churn.DefaultConfig()
-	cfg.Workers = 1
-	cfg.Seed = 1
-	w, err := NewWorld(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	engine := sim.NewEngine(w, cfg.Tau)
-	engine.Run(cfg.PlaybackDelayRounds + 2)
+	w, _ := benchWorld(b, 10000, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -62,9 +62,9 @@ type Config struct {
 	// wire message carries the sender's period stamp, and a node that
 	// finds itself behind the newest stamp at a tick jumps its period
 	// counter forward (and re-phases its ticker). Without it a node's
-	// clock is synced exactly once, by the bootstrap handshake — the PR 5
-	// drift gap. DefaultConfig enables it; the in-process channel driver
-	// ignores it (one loop drives every peer's clock).
+	// clock is synced exactly once, by the bootstrap handshake.
+	// DefaultConfig enables it. An in-process session has no use for it:
+	// one ticker drives every node's periods, so no node can fall behind.
 	Resync bool
 	// LowSupplyThreshold overrides the shared low-supply replacement
 	// threshold (segments/period below which a struggling peer may swap
@@ -81,17 +81,17 @@ type Config struct {
 	// them off one at a time.
 	Engine bool
 	Repair bool
-	// Churn scripts membership events the driver applies at period
-	// boundaries; nil runs a static session.
+	// Churn scripts membership events an in-process session (Run)
+	// applies at period boundaries; nil runs a static session.
 	Churn []ChurnEvent
 	// Seed drives topology and policy randomness.
 	Seed uint64
 }
 
 // ChurnEvent is one scripted membership change: at the start of period
-// Period, kill KillFraction of the alive non-source peers (abrupt
-// failures — no goodbye, neighbours discover the silence) and admit Join
-// newcomers through the rendezvous path.
+// Period, kill KillFraction of the running non-source nodes (abrupt node
+// exits — no goodbye, neighbours discover the silence) and start Join
+// newcomers that bootstrap through the source as rendezvous point.
 type ChurnEvent struct {
 	Period       int
 	KillFraction float64
@@ -165,8 +165,8 @@ func (c Config) sourceDegree() int {
 // most a map, O asks and p pushed copies from each link, with links
 // counted at the source's degree target, the largest any peer maintains.
 // Four periods of that traffic cover an inbox goroutine that waits out
-// the driver's plan and serve passes. A small session is capped lower,
-// at 16 messages per peer in it.
+// an in-process session's plan and serve passes. A small session is
+// capped lower, at 16 messages per peer in it.
 func (c Config) inboxSlots() int {
 	perPeriod := c.sourceDegree() * (1 + c.OutboundPerPeriod + c.Rate)
 	return max(256, min(4*perPeriod, 16*(c.Peers+1)))

@@ -128,3 +128,59 @@ func TestLiveJoinsWireUp(t *testing.T) {
 		t.Fatalf("session did not keep playing: %+v", st)
 	}
 }
+
+// TestLiveMembershipForgetsKilled holds an in-process session to the
+// membership rules of the socket path: no peer reads a registry, so a
+// killed peer leaves a survivor's view only when its sightings expire.
+// A killed ID is still named for DeadAfterPeriods+1 periods by neighbours
+// that have not yet dropped its silent link, and the rendezvous point's
+// membership sample can pass such a sighting on once more; sightTTL
+// periods after each of those, every survivor must have forgotten it —
+// in its membership view and its ring view — and no overheard entry may
+// be older than sightTTL.
+func TestLiveMembershipForgetsKilled(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Peers = 24
+	cfg.Period = 5 * time.Millisecond
+	cfg.Seed = 13
+	const kill = 12
+	cfg.Churn = []ChurnEvent{{Period: kill, KillFraction: 0.3}}
+	s := newSession(cfg)
+	defer s.stop()
+	ttl := s.nodes[0].p.sightTTL()
+	st := s.run(context.Background(), kill+cfg.DeadAfterPeriods+1+2*(ttl+1))
+	if st.Killed == 0 {
+		t.Fatal("churn script applied no kills")
+	}
+	survivor := make(map[int]bool)
+	for _, n := range s.nodes {
+		survivor[n.p.id] = true
+	}
+	var killed []int
+	for id := 1; id <= cfg.Peers; id++ {
+		if !survivor[id] {
+			killed = append(killed, id)
+		}
+	}
+	if len(killed) != st.Killed {
+		t.Fatalf("%d peers gone, %d killed", len(killed), st.Killed)
+	}
+	for _, n := range s.nodes {
+		p := n.p
+		for _, id := range killed {
+			if p.alive(id) {
+				t.Errorf("peer %d still counts killed peer %d as alive", p.id, id)
+			}
+			for _, m := range p.rv {
+				if m.id == id {
+					t.Errorf("peer %d still places killed peer %d on its ring", p.id, id)
+				}
+			}
+		}
+		for id, heard := range p.overheard {
+			if p.curPeriod-heard > ttl {
+				t.Errorf("peer %d holds overheard peer %d from period %d at period %d (TTL %d)", p.id, id, heard, p.curPeriod, ttl)
+			}
+		}
+	}
+}

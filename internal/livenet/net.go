@@ -1,6 +1,8 @@
 package livenet
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 
@@ -61,12 +63,13 @@ type Message struct {
 	GossipAddrs []string
 }
 
-// network is the in-process Transport and rendezvous: the address book
-// every real deployment reaches through its RP server and DHT routing,
-// scaled to one process. Sends are non-blocking — a saturated or dead
+// network is the in-process channel Transport: one buffered inbox per
+// registered peer. Sends are non-blocking — a saturated or departed
 // receiver drops the message, and the protocol's retry/repair paths are
 // what recover, exactly as over UDP (the drop model udpTransport
-// mirrors).
+// mirrors). It knows which inboxes exist but answers no membership
+// questions: peers learn who is alive from their own contacts and gossip
+// on both transports.
 type network struct {
 	mu       sync.RWMutex
 	inboxes  map[int]chan Message
@@ -98,15 +101,6 @@ func (nw *network) unregister(id int) {
 	delete(nw.inboxes, id)
 }
 
-// alive reports whether a peer is currently registered (the RP liveness
-// ping of the join/repair protocol).
-func (nw *network) alive(id int) bool {
-	nw.mu.RLock()
-	defer nw.mu.RUnlock()
-	_, ok := nw.inboxes[id]
-	return ok
-}
-
 // Send delivers non-blockingly; false means the receiver is gone or
 // saturated and the message was dropped.
 func (nw *network) Send(to int, m Message) bool {
@@ -119,44 +113,17 @@ func (nw *network) Send(to int, m Message) bool {
 	return nw.offer(ch, m)
 }
 
-// members returns the registered peer IDs in ascending order.
-func (nw *network) members() []int {
-	nw.mu.RLock()
-	out := make([]int, 0, len(nw.inboxes))
-	for id := range nw.inboxes {
-		out = append(out, id)
-	}
-	nw.mu.RUnlock()
-	sort.Ints(out)
-	return out
-}
+// ringView is one peer's picture of the rescue ring: the position in the
+// DHT identifier space of every member it currently believes alive,
+// sorted clockwise. The peer derives its backup responsibility
+// (successor arc) and rescue targets (key owners) from it — the livenet
+// stand-in for the structured overlay's routed lookups.
+type ringView []ringMember
 
-// sample returns up to max random alive members excluding one ID — the
-// RP's candidate list for joins and source refills.
-func (nw *network) sample(rng *sim.RNG, max, exclude int) []int {
-	ms := nw.members()
-	out := make([]int, 0, max)
-	for _, i := range rng.Perm(len(ms)) {
-		if ms[i] == exclude {
-			continue
-		}
-		out = append(out, ms[i])
-		if len(out) >= max {
-			break
-		}
-	}
-	return out
-}
-
-// ringView is one period's snapshot of the rescue ring: every member's
-// position in the DHT identifier space, sorted clockwise. Peers derive
-// their backup responsibility (successor arc) and rescue targets (key
-// owners) from it — the livenet stand-in for the structured overlay's
-// routed lookups, scaled to one process.
-type ringView struct {
-	space dht.Space
-	ids   []int    // member peer IDs, sorted by ring position
-	rings []dht.ID // ring positions, ascending
+// ringMember is one member's ring position.
+type ringMember struct {
+	ring dht.ID
+	id   int
 }
 
 // ringOf spreads peer IDs uniformly over the identifier space: an odd
@@ -166,26 +133,27 @@ func ringOf(space dht.Space, id int) dht.ID {
 	return dht.ID(uint64(id) * 0x9e3779b1 & uint64(space.N()-1))
 }
 
-// newRingView builds the snapshot from the registry's member list.
-func newRingView(space dht.Space, members []int) ringView {
-	type pos struct {
-		id   int
-		ring dht.ID
+// compareRingMembers orders members clockwise, ties by peer ID.
+func compareRingMembers(a, b ringMember) int {
+	if c := cmp.Compare(a.ring, b.ring); c != 0 {
+		return c
 	}
-	ps := make([]pos, len(members))
-	for i, id := range members {
-		ps[i] = pos{id: id, ring: ringOf(space, id)}
+	return cmp.Compare(a.id, b.id)
+}
+
+// insert adds m in clockwise order; remove deletes it. Both keep the
+// backing array.
+func (rv ringView) insert(m ringMember) ringView {
+	i, found := slices.BinarySearchFunc(rv, m, compareRingMembers)
+	if found {
+		return rv
 	}
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].ring != ps[j].ring {
-			return ps[i].ring < ps[j].ring
-		}
-		return ps[i].id < ps[j].id
-	})
-	rv := ringView{space: space, ids: make([]int, len(ps)), rings: make([]dht.ID, len(ps))}
-	for i, p := range ps {
-		rv.ids[i] = p.id
-		rv.rings[i] = p.ring
+	return slices.Insert(rv, i, m)
+}
+
+func (rv ringView) remove(m ringMember) ringView {
+	if i, found := slices.BinarySearchFunc(rv, m, compareRingMembers); found {
+		return slices.Delete(rv, i, i+1)
 	}
 	return rv
 }
@@ -193,26 +161,26 @@ func newRingView(space dht.Space, members []int) ringView {
 // successor returns the clockwise next ring position after ring (the arc
 // bound the backup rule needs), or false with fewer than two members.
 func (rv ringView) successor(ring dht.ID) (dht.ID, bool) {
-	if len(rv.rings) < 2 {
+	if len(rv) < 2 {
 		return 0, false
 	}
-	i := sort.Search(len(rv.rings), func(i int) bool { return rv.rings[i] > ring })
-	if i == len(rv.rings) {
+	i := sort.Search(len(rv), func(i int) bool { return rv[i].ring > ring })
+	if i == len(rv) {
 		i = 0
 	}
-	return rv.rings[i], true
+	return rv[i].ring, true
 }
 
 // owner returns the peer responsible for a key: the one whose arc
 // (predecessor, self] contains it — i.e. the first member at or clockwise
 // after the key.
 func (rv ringView) owner(key dht.ID) (int, bool) {
-	if len(rv.ids) == 0 {
+	if len(rv) == 0 {
 		return 0, false
 	}
-	i := sort.Search(len(rv.rings), func(i int) bool { return rv.rings[i] >= key })
-	if i == len(rv.rings) {
+	i := sort.Search(len(rv), func(i int) bool { return rv[i].ring >= key })
+	if i == len(rv) {
 		i = 0
 	}
-	return rv.ids[i], true
+	return rv[i].id, true
 }

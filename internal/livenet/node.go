@@ -3,7 +3,6 @@ package livenet
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -50,20 +49,35 @@ type NodeConfig struct {
 	LogEvery int
 }
 
-// Node is one process's half-open session: socket bound, peer built,
-// not yet running. Splitting construction from Run lets the caller
-// learn the bound address (to print, or to hand the driver) before the
-// clock starts.
+// Node is one peer's runtime: its protocol state, its transport, and the
+// steps of a scheduling period. Both runtimes are built from it and
+// differ only in the clock. On the socket path one Node runs per process
+// (NewNode, then Run), driven by its own ticker; an in-process session
+// (the package-level Run) drives N+1 Nodes over the channel transport
+// from one shared ticker.
 type Node struct {
 	cfg   Config
 	nc    NodeConfig
-	tr    *udpTransport
-	st    *counters
 	space dht.Space
+	st    *counters
+	// leave detaches the node from its transport (socket closed, or
+	// channel inbox unregistered) so sends to it fail from then on. udp
+	// is the socket transport, nil in-process.
+	leave func()
+	udp   *udpTransport
+	// p is built at construction in-process, and inside Run after the
+	// bootstrap handshake has synced the session clock on the socket path.
+	p       *peer
+	loop    sync.WaitGroup
+	stopped bool
+	exited  bool
+	// resyncs counts the clock re-anchor jumps Run took.
+	resyncs int
 }
 
-// NewNode binds the node's socket. The peer itself is built inside Run,
-// after the bootstrap handshake has synced the session clock.
+// NewNode binds a socket-path node's UDP socket. Splitting construction
+// from Run lets the caller learn the bound address (to print, or to hand
+// the launcher) before the clock starts.
 func NewNode(cfg Config, nc NodeConfig) (*Node, error) {
 	if nc.ID < 0 {
 		return nil, fmt.Errorf("livenet: negative node ID %d", nc.ID)
@@ -74,16 +88,11 @@ func NewNode(cfg Config, nc NodeConfig) (*Node, error) {
 	if (nc.Bootstrap == "") != nc.Source {
 		return nil, fmt.Errorf("livenet: exactly the source runs without a bootstrap address")
 	}
-	if cfg.Neighbors > cfg.Peers {
-		cfg.Neighbors = cfg.Peers
-	}
-	// One resolved lag value for every consumer of the raw field, as in
-	// the driver-mode Run.
-	cfg.PlaybackLagPeriods = cfg.lagPeriods()
 	profile, err := ParseShapeProfile(nc.Shape)
 	if err != nil {
 		return nil, err
 	}
+	cfg = cfg.resolved()
 	tr, err := newUDPTransport(nc.Listen, nc.ID, cfg.inboxSlots())
 	if err != nil {
 		return nil, err
@@ -92,15 +101,18 @@ func NewNode(cfg Config, nc NodeConfig) (*Node, error) {
 	if nc.LogEvery <= 0 {
 		nc.LogEvery = 10
 	}
-	return &Node{cfg: cfg, nc: nc, tr: tr, st: &counters{}, space: dht.NewSpace(ringSpace)}, nil
+	return &Node{
+		cfg: cfg, nc: nc, space: dht.NewSpace(ringSpace), st: &counters{},
+		leave: func() { tr.Close() }, udp: tr,
+	}, nil
 }
 
 // Addr returns the bound UDP address.
-func (n *Node) Addr() string { return n.tr.LocalAddr() }
+func (n *Node) Addr() string { return n.udp.LocalAddr() }
 
 // Close releases the socket (Run closes it on return; Close is for
 // callers that abandon a node before running it).
-func (n *Node) Close() error { return n.tr.Close() }
+func (n *Node) Close() error { return n.udp.Close() }
 
 // The join handshake retries its Connect until the RP's ConnectOK
 // arrives: up to bootstrapAttempts sends, one per bootstrapTick.
@@ -109,122 +121,142 @@ const (
 	bootstrapTick     = 100 * time.Millisecond
 )
 
-// lagPeriods resolves the playback pipeline depth.
-func (c Config) lagPeriods() int {
-	if c.PlaybackLagPeriods > 0 {
-		return c.PlaybackLagPeriods
+// resolved clamps M to the audience and resolves the playback lag once,
+// up front: every consumer of the raw field (playback evaluation, ask
+// deadlines, warm-up gates, rescue gating) must see the same value.
+func (c Config) resolved() Config {
+	// A peer can hold at most Peers distinct links (the source plus every
+	// other receiver); an M above that would spin the bootstrap wiring
+	// forever looking for a new neighbour that cannot exist.
+	c.Neighbors = min(c.Neighbors, c.Peers)
+	if c.PlaybackLagPeriods <= 0 {
+		c.PlaybackLagPeriods = 6
 	}
-	return 6
+	return c
 }
 
 // posFor is the playback position at an absolute session period.
 func (c Config) posFor(period int) segment.ID {
-	if lag := c.lagPeriods(); period >= lag {
+	if lag := c.PlaybackLagPeriods; period >= lag {
 		return segment.ID((period - lag) * c.Rate)
 	}
 	return 0
 }
 
+// start builds the node's peer on a transport and starts its inbox loop.
+// Joiners open their buffer at the playback position of their first
+// period.
+func (n *Node) start(tr Transport, id int, inbox chan Message, period int, joining bool) {
+	n.p = newPeer(tr, id, inbox, n.cfg, n.space, n.st, id == 0, n.cfg.posFor(period), period)
+	n.p.joining = joining
+	n.loop.Add(1)
+	go n.p.loop(&n.loop)
+}
+
+// play is the last of a period's three steps, after the plan and serve
+// halves (peer.periodPlan, peer.periodServe): it takes the playback
+// sample (peer.samplePlayback) and applies ExitAt, which so takes effect
+// at the end of period ExitAt-1, before the node would plan period
+// ExitAt. Node.Run serves τ/2 after it plans and plays right after it
+// serves; Run has every node plan, then every node serve, then every
+// node play, so the sample follows the whole serve pass.
+func (n *Node) play(period int) (sampled, ok bool) {
+	sampled, ok = n.p.samplePlayback(period)
+	if n.nc.ExitAt > 0 && period+1 >= n.nc.ExitAt {
+		n.exit()
+	}
+	return sampled, ok
+}
+
+// exit is an abrupt failure: the node leaves its transport without a
+// goodbye and stops handling messages. Neighbours discover the silence.
+// Scripted ExitAt and an in-process session's kills both end here.
+func (n *Node) exit() {
+	n.exited = true
+	n.leave()
+	n.stop()
+}
+
+// stop ends the inbox loop and waits for it to drain.
+func (n *Node) stop() {
+	if n.stopped {
+		return
+	}
+	n.stopped = true
+	close(n.p.stop)
+	n.loop.Wait()
+}
+
+// copyOut fills st's counters — the one copy-out of both runtimes: the
+// protocol counters c and inbox meter m (a socket-path node's own, or the
+// set an in-process session's nodes share), plus each node's clock jumps,
+// shaper counts and, while it still runs, its links to silent peers.
+func copyOut(st *Stats, c *counters, m *inboxMeter, nodes []*Node) {
+	st.Delivered = c.delivered.Load()
+	st.PushDelivered = c.pushDelivered.Load()
+	st.Rescued = c.rescued.Load()
+	st.RescueAsked = c.rescueAsked.Load()
+	st.QueueServed = c.queueServed.Load()
+	st.QueueCarried = c.queueCarried.Load()
+	st.DeadDropped = c.deadDropped.Load()
+	st.Replaced = c.replaced.Load()
+	st.AsksSent = c.asksSent.Load()
+	st.AsksReceived = c.asksReceived.Load()
+	st.GrantsSent = c.grantsSent.Load()
+	st.GrantsEvicted = c.grantsEvicted.Load()
+	st.TransportDropped = m.Dropped()
+	st.InboxHighWater = m.HighWater()
+	for _, n := range nodes {
+		if !n.exited {
+			st.EndDeadLinks += n.p.deadLinks()
+		}
+		st.Resyncs += n.resyncs
+		if n.udp != nil {
+			st.ShapeDropped += n.udp.shaper.Dropped()
+			st.ShapeDelayed += n.udp.shaper.Delayed()
+		}
+	}
+}
+
 // Run executes this process's side of the session until the absolute
 // session period count is reached (period numbering is shared across
 // processes: the source starts at 0 and joiners sync to the RP's clock
-// in the bootstrap handshake). It blocks until the node drains, the
-// scripted ExitAt fires, or ctx is cancelled.
+// in the bootstrap handshake). The node's own ticker drives the two
+// halves of each period, the serve half τ/2 after the plan half, and
+// re-syncs the period counter from the stamps peers send. Run blocks
+// until the node drains, the scripted ExitAt fires, or ctx is cancelled;
+// every return after the handshake reports the node's counters.
 func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
-	defer n.tr.Close()
+	defer n.udp.Close()
 	cfg, nc := n.cfg, n.nc
 
 	start := 0
-	var p *peer
-	var backlog []Message
 	if nc.Source {
-		p = newPeer(n.tr, 0, n.tr.Inbox(), cfg, n.space, n.st, true, 0, 0)
-		p.nodeMode = true
-		p.rpServer = true
-		p.sample = p.sightedSample
+		n.start(n.udp, 0, n.udp.Inbox(), 0, false)
 	} else {
-		// Bootstrap handshake: Connect to the RP until its ConnectOK
-		// arrives, carrying the current session period (our clock sync),
-		// the RP's buffer map, and a membership sample whose addresses
-		// the transport has absorbed. Messages that race ahead of the
-		// handshake (the RP links us immediately, so its announcements
-		// and pushes start at once) are replayed into the peer after
-		// construction.
-		if err := n.tr.Learn(0, nc.Bootstrap); err != nil {
+		hello, backlog, err := n.handshake(ctx)
+		if err != nil {
 			return Stats{}, err
 		}
-		var hello *Message
-		for attempt := 0; hello == nil; {
-			n.tr.Send(0, Message{From: nc.ID, Kind: msgConnect})
-			tick := time.NewTimer(bootstrapTick)
-		recv:
-			for hello == nil {
-				select {
-				case <-ctx.Done():
-					tick.Stop()
-					return Stats{}, ctx.Err()
-				case <-tick.C:
-					if attempt++; attempt >= bootstrapAttempts {
-						return Stats{}, fmt.Errorf("livenet: no ConnectOK from %s after %d attempts", nc.Bootstrap, attempt)
-					}
-					break recv
-				case m := <-n.tr.Inbox():
-					if m.Kind == msgConnectOK && m.From == 0 {
-						hello = &m
-					} else if len(backlog) < 1024 {
-						backlog = append(backlog, m)
-					}
-				}
-			}
-			tick.Stop()
-		}
+		// The RP's ConnectOK carries its current period (our clock sync),
+		// its buffer map, and a membership sample whose addresses the
+		// transport has absorbed; handling it as a joiner dials the
+		// sample. Messages that raced ahead of it are replayed after.
 		start = int(hello.Deadline) + 1
-		p = newPeer(n.tr, nc.ID, n.tr.Inbox(), cfg, n.space, n.st, false, cfg.posFor(start), start)
-		p.nodeMode = true
-		p.handle(*hello)
+		n.start(n.udp, nc.ID, n.udp.Inbox(), start, true)
+		n.p.handle(hello)
 		for _, m := range backlog {
-			p.handle(m)
-		}
-		// First adoptions from the RP's sample; mesh maintenance tops the
-		// degree up from gossip once the session is rolling.
-		p.mu.Lock()
-		dial := make([]int, 0, len(p.overheard))
-		for id := range p.overheard {
-			dial = append(dial, id)
-		}
-		p.mu.Unlock()
-		sort.Ints(dial)
-		if len(dial) > cfg.Neighbors {
-			dial = dial[:cfg.Neighbors]
-		}
-		for _, id := range dial {
-			n.tr.Send(id, Message{From: nc.ID, Kind: msgConnect})
+			n.p.handle(m)
 		}
 	}
-
-	var wg sync.WaitGroup
-	stopped := false
-	stop := func() {
-		if !stopped {
-			close(p.stop)
-			stopped = true
-		}
-	}
-	defer stop()
-	wg.Add(1)
-	go p.loop(&wg)
+	defer n.stop()
 
 	ticker := time.NewTicker(cfg.Period)
 	defer ticker.Stop()
 	stats := Stats{}
 	continuous, playingSamples := 0, 0
-	lag := cfg.lagPeriods()
-	for period := start; period < periods; period++ {
-		select {
-		case <-ctx.Done():
-		case <-ticker.C:
-		}
-		if ctx.Err() != nil {
+	for period := start; period < periods && !n.exited; period++ {
+		if !waitFor(ctx, ticker.C) {
 			break
 		}
 		// Clock re-sync: if the network's newest period stamp is ahead of
@@ -233,179 +265,100 @@ func (n *Node) Run(ctx context.Context, periods int) (Stats, error) {
 		// re-phase the ticker at the new anchor. In steady state the
 		// stamps match the local counter and no jump happens; stamps
 		// behind ours (a slower peer's) never move the clock backwards.
-		if p.clockPeriod() > period {
+		if seen := n.p.clockPeriod(); seen > period {
 			stats.BehindPeriods++
-		}
-		if cfg.Resync {
-			if seen := p.clockPeriod(); seen > period {
-				if seen >= periods {
-					seen = periods - 1
-				}
+			if cfg.Resync {
+				seen = min(seen, periods-1)
 				if nc.Logf != nil {
 					nc.Logf("resync: period %d -> %d", period, seen)
 				}
 				period = seen
-				p.mu.Lock()
-				p.resyncs++
-				p.mu.Unlock()
+				n.resyncs++
 				ticker.Reset(cfg.Period)
 			}
 		}
 		stats.Periods = period + 1 - start
-		if nc.ExitAt > 0 && period >= nc.ExitAt {
-			// Abrupt scripted failure: drop off the network mid-stream.
-			n.tr.Close()
-			return stats, nil
-		}
-
-		if nc.Source {
-			p.ingestFresh(period)
-		}
-		pos := cfg.posFor(period)
-		members := p.membershipView(period)
-		ids := make([]int, 0, len(members))
-		for id := range members {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		rv := newRingView(n.space, ids)
 
 		// Plan at the tick, serve half a period later: the temporal
-		// mirror of the driver's two-pass phase order, giving this
+		// mirror of the in-process two-pass phase order, giving this
 		// period's requests — in flight across real sockets — time to
 		// reach their suppliers before the serve pass drains them.
-		p.periodPlan(period, pos, rv, members)
+		n.p.periodPlan(period)
 		half := time.NewTimer(cfg.Period / 2)
-		select {
-		case <-ctx.Done():
-		case <-half.C:
-		}
+		ok := waitFor(ctx, half.C)
 		half.Stop()
-		if ctx.Err() != nil {
+		if !ok {
 			break
 		}
-		p.periodServe(period, members)
-
-		if !nc.Source && period >= lag {
-			win := segment.Window{Lo: pos, Hi: pos + segment.ID(cfg.Rate)}
-			p.mu.Lock()
-			ok := p.buf.HasAll(win)
-			p.missedLast = !ok
-			if ok {
-				p.missStreak = 0
-			} else {
-				p.missStreak++
-			}
-			links := len(p.links)
-			p.mu.Unlock()
+		n.p.periodServe(period)
+		sampled, played := n.play(period)
+		if sampled {
 			playingSamples++
-			if ok {
-				continuous++
-			}
 			sample := 0.0
-			if ok {
+			if played {
+				continuous++
 				sample = 1
 			}
 			stats.PerPeriod = append(stats.PerPeriod, sample)
-			if nc.Logf != nil && period%nc.LogEvery == 0 {
-				nc.Logf("period %d: pos=%d links=%d members=%d continuous=%v",
-					period, pos, links, len(members), ok)
-			}
-		} else if nc.Logf != nil && period%nc.LogEvery == 0 {
-			p.mu.Lock()
-			links := len(p.links)
-			p.mu.Unlock()
-			nc.Logf("period %d: links=%d members=%d", period, links, len(members))
+		}
+		if nc.Logf != nil && period%nc.LogEvery == 0 {
+			links, members := n.p.viewSize()
+			nc.Logf("period %d: pos=%d links=%d members=%d playing=%v continuous=%v",
+				period, cfg.posFor(period), links, members, sampled, played)
 		}
 	}
-	stop()
-	wg.Wait()
-
-	stats.Delivered = n.st.delivered.Load()
-	stats.PushDelivered = n.st.pushDelivered.Load()
-	stats.Rescued = n.st.rescued.Load()
-	stats.RescueAsked = n.st.rescueAsked.Load()
-	stats.QueueServed = n.st.queueServed.Load()
-	stats.QueueCarried = n.st.queueCarried.Load()
-	stats.DeadDropped = n.st.deadDropped.Load()
-	stats.Replaced = n.st.replaced.Load()
-	stats.AsksSent = n.st.asksSent.Load()
-	stats.AsksReceived = n.st.asksReceived.Load()
-	stats.GrantsSent = n.st.grantsSent.Load()
-	stats.GrantsEvicted = n.st.grantsEvicted.Load()
-	stats.TransportDropped = n.tr.Dropped()
-	stats.InboxHighWater = n.tr.HighWater()
-	stats.ShapeDropped = n.tr.shaper.Dropped()
-	stats.ShapeDelayed = n.tr.shaper.Delayed()
+	n.stop()
+	copyOut(&stats, n.st, &n.udp.inboxMeter, []*Node{n})
 	if playingSamples > 0 {
 		stats.Continuity = float64(continuous) / float64(playingSamples)
 	}
-	p.mu.Lock()
-	for nb := range p.links {
-		if p.curPeriod-p.nbrSeen[nb] > p.cfg.DeadAfterPeriods {
-			stats.EndDeadLinks++
-		}
-	}
-	stats.Resyncs = p.resyncs
-	p.mu.Unlock()
 	if nc.Logf != nil {
-		nc.Logf("drained: %d deliveries, %d inbox drops", stats.Delivered, n.tr.Dropped())
+		nc.Logf("drained: %d deliveries, %d inbox drops", stats.Delivered, stats.TransportDropped)
 	}
 	return stats, nil
 }
 
-// ingestFresh is the source's per-period segment generation.
-func (p *peer) ingestFresh(period int) {
-	p.mu.Lock()
-	for s := segment.ID(period * p.cfg.Rate); s < segment.ID((period+1)*p.cfg.Rate); s++ {
-		p.buf.Insert(s)
+// handshake is a joiner's bootstrap: Connect to the RP until its
+// ConnectOK arrives, keeping (up to a bound) the messages that race ahead
+// of it — the RP links the joiner at once, so its announcements and
+// pushes start immediately.
+func (n *Node) handshake(ctx context.Context) (hello Message, backlog []Message, err error) {
+	if err := n.udp.Learn(0, n.nc.Bootstrap); err != nil {
+		return Message{}, nil, err
 	}
-	p.mu.Unlock()
-}
-
-// membershipView is the socket path's replacement for the registry
-// oracle: every peer this node has recent evidence of — a message
-// received or gossip naming it within the sighting TTL — plus itself
-// and the source (losing the source ends the session, not the
-// membership). Direct neighbours are still judged by the tighter
-// DeadAfterPeriods silence bound in mesh maintenance; this wider view
-// gates adoption, serving and ring placement.
-func (p *peer) membershipView(now int) map[int]bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ttl := p.sightTTL()
-	view := map[int]bool{p.id: true, 0: true}
-	for id, seen := range p.sighted {
-		if now-seen <= ttl {
-			view[id] = true
+	for attempt := 1; ; attempt++ {
+		n.udp.Send(0, Message{From: n.nc.ID, Kind: msgConnect})
+		tick := time.NewTimer(bootstrapTick)
+	recv:
+		for {
+			select {
+			case <-ctx.Done():
+				tick.Stop()
+				return Message{}, nil, ctx.Err()
+			case <-tick.C:
+				break recv
+			case m := <-n.udp.Inbox():
+				if m.Kind == msgConnectOK && m.From == 0 {
+					tick.Stop()
+					return m, backlog, nil
+				}
+				if len(backlog) < 1024 {
+					backlog = append(backlog, m)
+				}
+			}
+		}
+		if attempt >= bootstrapAttempts {
+			return Message{}, nil, fmt.Errorf("livenet: no ConnectOK from %s after %d attempts", n.nc.Bootstrap, attempt)
 		}
 	}
-	return view
 }
 
-// sightTTL is how many periods a sighting stays membership evidence —
-// comfortably wider than the direct-neighbour silence bound so gossip
-// reach outlives a couple of dropped announcements, but finite so
-// departed (or fabricated) IDs age out of the view, the sample pool,
-// and the sighted map itself.
-func (p *peer) sightTTL() int { return 3 * p.cfg.DeadAfterPeriods }
-
-// sightedSample draws up to max recently-sighted peer IDs, excluding
-// the given ID and the sampler itself — node mode's version of the
-// registry sample behind RP candidate pools and bootstrap replies.
-// Callers hold p.mu (it runs inside handle and maintainMesh).
-func (p *peer) sightedSample(max, exclude int) []int {
-	ttl := p.sightTTL()
-	ids := make([]int, 0, len(p.sighted))
-	for id, seen := range p.sighted {
-		if id != exclude && id != p.id && p.curPeriod-seen <= ttl {
-			ids = append(ids, id)
-		}
+// waitFor blocks until c fires (true) or ctx is cancelled (false).
+func waitFor(ctx context.Context, c <-chan time.Time) bool {
+	select {
+	case <-ctx.Done():
+		return false
+	case <-c:
+		return ctx.Err() == nil
 	}
-	sort.Ints(ids)
-	p.rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-	if len(ids) > max {
-		ids = ids[:max]
-	}
-	return ids
 }

@@ -9,10 +9,11 @@ import (
 
 // startUDPSession spawns a source plus n receiver nodes, every one on
 // its own UDP socket on loopback — the multi-process topology inside
-// one test process. It returns the per-node cancel funcs (abrupt kills)
-// and a collector that waits for all nodes and hands back the stats of
-// the receivers that ran to completion.
-func startUDPSession(t *testing.T, cfg Config, n, periods int) (cancels []context.CancelFunc, wait func() map[int]Stats) {
+// one test process. exitAt scripts ExitAt per receiver ID (nil for none).
+// It returns the per-node cancel funcs (abrupt kills) and a collector
+// that waits for all nodes and hands back the stats every receiver's Run
+// returned.
+func startUDPSession(t *testing.T, cfg Config, n, periods int, exitAt map[int]int) (cancels []context.CancelFunc, wait func() map[int]Stats) {
 	t.Helper()
 	src, err := NewNode(cfg, NodeConfig{ID: 0, Listen: "127.0.0.1:0", Source: true})
 	if err != nil {
@@ -42,7 +43,7 @@ func startUDPSession(t *testing.T, cfg Config, n, periods int) (cancels []contex
 	cancels = append(cancels, srcCancel)
 	go run(0, src, srcCtx)
 	for i := 1; i <= n; i++ {
-		node, err := NewNode(cfg, NodeConfig{ID: i, Listen: "127.0.0.1:0", Bootstrap: rpAddr})
+		node, err := NewNode(cfg, NodeConfig{ID: i, Listen: "127.0.0.1:0", Bootstrap: rpAddr, ExitAt: exitAt[i]})
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
@@ -59,14 +60,14 @@ func startUDPSession(t *testing.T, cfg Config, n, periods int) (cancels []contex
 
 // TestUDPSessionDeliversAndPlays runs a whole session over real UDP
 // sockets on loopback: bootstrap handshake against the RP, membership
-// from gossip instead of the registry oracle, routed ring rescue — the
+// from gossip and the peer's own contacts, routed ring rescue — the
 // socket path end to end, minus the process boundary.
 func TestUDPSessionDeliversAndPlays(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Peers = 8
 	cfg.Period = 20 * time.Millisecond
 	cfg.Seed = 17
-	_, wait := startUDPSession(t, cfg, cfg.Peers, 40)
+	_, wait := startUDPSession(t, cfg, cfg.Peers, 40, nil)
 	stats := wait()
 	if len(stats) != cfg.Peers {
 		t.Fatalf("%d of %d receivers reported", len(stats), cfg.Peers)
@@ -102,7 +103,7 @@ func TestUDPSessionKillRecovery(t *testing.T) {
 	cfg.Period = 20 * time.Millisecond
 	cfg.Seed = 23
 	periods := 70
-	cancels, wait := startUDPSession(t, cfg, cfg.Peers, periods)
+	cancels, wait := startUDPSession(t, cfg, cfg.Peers, periods, nil)
 	time.Sleep(time.Duration(periods/2) * cfg.Period)
 	for _, i := range []int{1, 2, 3} { // a third of the audience
 		cancels[i]()
@@ -129,5 +130,32 @@ func TestUDPSessionKillRecovery(t *testing.T) {
 	// 0.9 with real process kills.
 	if tail < 0.5 {
 		t.Fatalf("survivor tail continuity %.3f after killing a third over UDP", tail)
+	}
+}
+
+// TestUDPNodeExitReportsCounters runs a receiver with a scripted ExitAt
+// and requires its Stats to carry what it did before failing: the
+// periods it ran, its deliveries, its inbox meter and its continuity — the same
+// copy-out a node that runs to completion reports.
+func TestUDPNodeExitReportsCounters(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Peers = 4
+	cfg.Period = 20 * time.Millisecond
+	cfg.Seed = 29
+	const periods, exitAt = 40, 24
+	_, wait := startUDPSession(t, cfg, cfg.Peers, periods, map[int]int{1: exitAt})
+	stats := wait()
+	st, ok := stats[1]
+	if !ok {
+		t.Fatal("the exiting node reported no stats")
+	}
+	if st.Periods <= cfg.PlaybackLagPeriods || st.Periods >= periods {
+		t.Fatalf("exiting node ran %d periods, want fewer than %d", st.Periods, periods)
+	}
+	if st.Delivered == 0 || st.PushDelivered == 0 || st.InboxHighWater == 0 || len(st.PerPeriod) == 0 || st.Continuity == 0 {
+		t.Fatalf("exiting node reported empty counters: %+v", st)
+	}
+	if got := stats[2].Periods; got <= st.Periods {
+		t.Fatalf("a surviving node ran %d periods, no more than the exiting node's %d", got, st.Periods)
 	}
 }

@@ -34,11 +34,10 @@ type counters struct {
 	grantsEvicted atomic.Int64
 }
 
-// peer is one goroutine's protocol state: the same per-node architecture
-// the simulator hosts (buffer, rate controller, urgent-line α, VoD
-// backup), driven by messages instead of phases. All mutable state is
-// guarded by mu; the inbox goroutine and the driver's per-period call
-// both take it.
+// peer is one Node's protocol state: the same per-node architecture the
+// simulator hosts (buffer, rate controller, urgent-line α, VoD backup),
+// driven by messages instead of phases. All mutable state is guarded by
+// mu; the inbox goroutine and the node's per-period halves both take it.
 type peer struct {
 	id       int
 	ring     dht.ID
@@ -50,21 +49,10 @@ type peer struct {
 	inbox    chan Message
 	stop     chan struct{}
 	rng      *sim.RNG
-	// sample draws up to max live peer IDs (excluding the given one and
-	// the peer itself) for the RP candidate pool and bootstrap replies.
-	// Driver mode backs it with the registry; node mode with the peer's
-	// own sighting history. Nil on peers that never act as RP.
-	sample func(max, exclude int) []int
-	// rpServer makes this peer answer msgConnect as a rendezvous point:
-	// the ConnectOK carries a membership sample and the current period,
-	// the bootstrap handshake a socket-path joiner syncs from. Only set
-	// in node mode (the driver wires in-process joins directly).
-	rpServer bool
-	// nodeMode marks a socket-path peer: gossip arrives from an open
-	// socket there, so sighting-derived state is pruned by TTL each
-	// period. Driver-mode peers skip the overheard pruning to keep the
-	// in-process candidate pools exactly as before the seam.
-	nodeMode bool
+	// joining marks a newcomer that has not yet heard the rendezvous
+	// point's ConnectOK: each plan re-sends its Connect, and the reply's
+	// membership sample becomes its first adoptions.
+	joining bool
 
 	mu     sync.Mutex
 	buf    *buffer.Buffer
@@ -81,10 +69,9 @@ type peer struct {
 	overheard map[int]int
 	// sighted stamps every peer ID this peer has evidence of — a message
 	// received from it, or gossip naming it — with the period of the last
-	// sighting. Node mode derives its membership view from it (there is
-	// no registry oracle across processes); driver mode maintains it too
-	// but never reads it, keeping the two paths' message handling
-	// identical.
+	// sighting. It is the peer's membership view: an ID sighted within
+	// sightTTL periods is alive (see alive), and the ring view is built
+	// from the same entries.
 	sighted map[int]int
 	ctrl    *bandwidth.Controller
 	alpha   *prefetch.Alpha
@@ -107,20 +94,20 @@ type peer struct {
 	requested []supplierAsks
 
 	// clockSeen is the highest period stamp heard from any peer (wire
-	// v2 stamps every message with the sender's clock). Node mode
-	// re-anchors its period counter to it at every tick — the
+	// v2 stamps every message with the sender's clock). A socket-path
+	// node re-anchors its period counter to it at every tick — the
 	// continuous clock re-sync replacing trust in the one-shot
-	// bootstrap handshake. Resyncs counts the jumps taken.
+	// bootstrap handshake.
 	clockSeen int
-	resyncs   int
 
 	curPeriod int
 	// periodAt is the wall-clock instant of the current period's plan
 	// tick — the anchor ObserveDelivery offsets are measured from, so
 	// the rate controller sees true arrival offsets (the simulator's
 	// (d.at - now) in period fractions), not per-period counts.
-	periodAt     time.Time
-	pos          segment.ID
+	periodAt time.Time
+	pos      segment.ID
+	// rv is the ring view over the membership view (see sight).
 	rv           ringView
 	pushSpent    int
 	rescueSpent  int
@@ -158,13 +145,11 @@ type supplierAsks struct {
 }
 
 // peerView implements protocol.ViewProvider over what this peer learned
-// through its channels: supply estimates from the rate controller, the
+// through its transport: supply estimates from the rate controller, the
 // gossip-fed overheard pool, the ring view's clockwise successors, and —
-// for the source — the RP membership sample. members is set for the
-// duration of one maintainMesh call.
+// for the source — the RP membership sample.
 type peerView struct {
-	p       *peer
-	members map[int]bool
+	p *peer
 }
 
 func (v *peerView) AppendNeighbors(dst []protocol.NeighborSupply) []protocol.NeighborSupply {
@@ -200,10 +185,10 @@ func (v *peerView) AppendDHTPeers(dst []protocol.CandidateSource) []protocol.Can
 	// membership view of last resort.
 	p := v.p
 	base := len(dst)
-	n := len(p.rv.ids)
-	start := sort.Search(n, func(i int) bool { return p.rv.rings[i] > p.ring })
+	n := len(p.rv)
+	start := sort.Search(n, func(i int) bool { return p.rv[i].ring > p.ring })
 	for k := 0; k < n && len(dst)-base < 4; k++ {
-		id := p.rv.ids[(start+k)%n]
+		id := p.rv[(start+k)%n].id
 		if id == p.id {
 			continue
 		}
@@ -217,16 +202,16 @@ func (v *peerView) AppendDHTPeers(dst []protocol.CandidateSource) []protocol.Can
 
 func (v *peerView) AppendRPCandidates(dst []overlay.NodeID, max int) []overlay.NodeID {
 	p := v.p
-	if p.sample == nil {
+	if !p.isSource {
 		return dst
 	}
-	for _, id := range p.sample(max, p.id) {
+	for _, id := range p.sightedSample(max, p.id) {
 		dst = append(dst, overlay.NodeID(id))
 	}
 	return dst
 }
 
-func (v *peerView) Alive(id overlay.NodeID) bool { return v.members[int(id)] }
+func (v *peerView) Alive(id overlay.NodeID) bool { return v.p.alive(int(id)) }
 
 func (v *peerView) Connected(id overlay.NodeID) bool { return v.p.links[int(id)] }
 
@@ -259,6 +244,8 @@ func newPeer(tr Transport, id int, inbox chan Message, cfg Config, space dht.Spa
 		lastReplace:   joinPeriod - 1000, // no artificial cooldown at birth
 	}
 	p.view.p = p
+	p.rv = p.rv.insert(p.member(id))
+	p.rv = p.rv.insert(p.member(0))
 	if !isSource {
 		p.alpha = prefetch.NewAlpha(prefetch.AlphaConfig{
 			PlaybackRate:  cfg.Rate,
@@ -324,16 +311,15 @@ func (p *peer) handle(m Message) {
 		p.clockSeen = m.Period
 	}
 	// Every message is a sighting of its sender, and every gossip entry
-	// of the peer it names — the membership evidence node mode's view is
-	// built from. Gossip feeds the adoption pool regardless of which
-	// message carried it (in-process only map announcements do; the
-	// socket path's bootstrap ConnectOK rides a sample too).
-	p.sighted[m.From] = p.curPeriod
+	// of the peer it names — the evidence the membership view is built
+	// from. Gossip feeds the adoption pool whichever message carried it:
+	// map announcements, or the rendezvous point's ConnectOK sample.
+	p.sight(m.From)
 	for _, g := range m.Gossip {
 		if g == p.id {
 			continue
 		}
-		p.sighted[g] = p.curPeriod
+		p.sight(g)
 		if !p.links[g] {
 			p.overheard[g] = p.curPeriod
 		}
@@ -366,20 +352,18 @@ func (p *peer) handle(m Message) {
 	case msgConnect:
 		// Adoption is bidirectional, as in the simulator's addEdge; the
 		// accepting side replies with its current map so the newcomer can
-		// schedule against it immediately. A rendezvous point additionally
-		// stamps the reply with the current period (the joiner's clock
-		// sync) and a membership sample (its first adoption candidates) —
-		// the bootstrap handshake of the socket path.
+		// schedule against it immediately. The source is the rendezvous
+		// point: it additionally stamps the reply with the current period
+		// (the joiner's clock sync) and a membership sample (its first
+		// adoption candidates) — the bootstrap handshake.
 		p.link(m.From)
 		p.nbrSeen[m.From] = p.curPeriod
 		delete(p.overheard, m.From)
 		snap := p.buf.Snapshot()
 		reply := Message{From: p.id, Kind: msgConnectOK, Map: &snap}
-		if p.rpServer {
+		if p.isSource {
 			reply.Deadline = sim.Time(p.curPeriod)
-			if p.sample != nil {
-				reply.Gossip = p.sample(p.cfg.Neighbors+2, m.From)
-			}
+			reply.Gossip = p.sightedSample(p.cfg.Neighbors+2, m.From)
 		}
 		p.send(m.From, reply)
 	case msgConnectOK:
@@ -388,6 +372,19 @@ func (p *peer) handle(m Message) {
 		delete(p.overheard, m.From)
 		if m.Map != nil {
 			p.nbrMaps[m.From] = *m.Map
+		}
+		if p.joining && m.From == 0 {
+			// The rendezvous point answered: dial up to M of its sample.
+			// Mesh maintenance tops the degree up from gossip once the
+			// session is rolling.
+			p.joining = false
+			dial := m.Gossip[:min(len(m.Gossip), p.cfg.Neighbors)]
+			for _, id := range dial {
+				if id != p.id && !p.links[id] {
+					delete(p.overheard, id)
+					p.send(id, Message{From: p.id, Kind: msgConnect})
+				}
+			}
 		}
 	case msgBye:
 		p.unlink(m.From)
@@ -451,13 +448,10 @@ func (p *peer) receiveData(m Message) {
 	// path draws on.
 	if p.cfg.Engine && m.Hop > 0 && m.Hop < p.cfg.PushHops && stored {
 		budget := p.outbound() - p.pushSpent
-		sends := protocol.PlanPush(
+		sends := protocol.PlanPushMask(
 			p.cfg.Seed^uint64(p.id)*0x9e3779b97f4a7c15^uint64(p.curPeriod),
-			overlay.NodeID(p.id), []segment.ID{m.Seg}, p.neighbourNodeIDs(),
-			func(to overlay.NodeID, seg segment.ID) bool {
-				nm, ok := p.nbrMaps[int(to)]
-				return ok && nm.Has(seg)
-			}, budget)
+			overlay.NodeID(p.id), m.Seg, 1, []segment.ID{m.Seg}, p.neighbourNodeIDs(),
+			p.lacks(segment.Window{Lo: m.Seg, Hi: m.Seg + 1}), budget)
 		p.pushSpent += len(sends)
 		for _, s := range sends {
 			p.send(int(s.To), Message{From: p.id, Kind: msgData, Seg: s.ID, Hop: m.Hop + 1})
@@ -509,28 +503,34 @@ func (p *peer) inFlight(seg segment.ID) bool {
 }
 
 // periodPlan is the first half of a scheduling period, run for every peer
-// before any peer serves: advance the window, push fresh segments
-// (source), repair the mesh, announce the buffer map with piggybacked
-// membership gossip, schedule pulls, and fire DHT rescues for urgent
-// holes. Splitting plan from serve mirrors the simulator's phase order —
-// requests scheduled in a period are served within that same period — so
-// a pull hop costs one period, not two; message handling still
-// interleaves concurrently under the same lock.
-func (p *peer) periodPlan(now int, pos segment.ID, rv ringView, members map[int]bool) {
+// before any peer serves: advance the window (the source first ingests
+// the period's fresh segments), expire stale sightings along with their
+// ring entries, push fresh segments (source), repair the mesh,
+// announce the buffer map with piggybacked membership gossip, schedule
+// pulls, and fire DHT rescues for urgent holes. Splitting plan from serve
+// mirrors the simulator's phase order — requests scheduled in a period
+// are served within that same period — so a pull hop costs one period,
+// not two; message handling still interleaves concurrently under the same
+// lock.
+func (p *peer) periodPlan(now int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.curPeriod = now
 	p.periodAt = time.Now()
-	p.pos = pos
-	p.rv = rv
+	p.pos = p.cfg.posFor(now)
+	if p.isSource {
+		for s := segment.ID(now * p.cfg.Rate); s < segment.ID((now+1)*p.cfg.Rate); s++ {
+			p.buf.Insert(s)
+		}
+	}
 	// This period's serve pass answers the asks scheduled below; credit
 	// them so the end-of-period Tick pairs requests with arrivals.
 	for _, a := range p.requested {
 		p.ctrl.NoteRequested(a.supplier, a.count)
 	}
 	p.requested = p.requested[:0]
-	p.buf.AdvanceTo(pos)
-	p.backup.PruneBelow(pos)
+	p.buf.AdvanceTo(p.pos)
+	p.backup.PruneBelow(p.pos)
 	for seg, exp := range p.pending {
 		if exp <= now {
 			delete(p.pending, seg)
@@ -541,22 +541,22 @@ func (p *peer) periodPlan(now int, pos segment.ID, rv ringView, members map[int]
 			delete(p.rescuePending, seg)
 		}
 	}
-	// Sighting state is fed by untrusted gossip on the socket path;
-	// expiring it by TTL bounds what a hostile datagram stream can make
-	// a peer hold. sighted is node-mode-only state and always safe to
-	// prune; overheard shapes driver-mode adoption pools, so only node
-	// mode expires it.
+	// Sighting state is fed by gossip, which on the socket path arrives
+	// from an open socket; expiring it by TTL drops departed peers from
+	// the membership view and bounds what a hostile datagram stream can
+	// make a peer hold.
 	ttl := p.sightTTL()
 	for id, seen := range p.sighted {
 		if now-seen > ttl {
 			delete(p.sighted, id)
+			if id != 0 {
+				p.rv = p.rv.remove(p.member(id))
+			}
 		}
 	}
-	if p.nodeMode {
-		for id, seen := range p.overheard {
-			if now-seen > ttl {
-				delete(p.overheard, id)
-			}
+	for id, seen := range p.overheard {
+		if now-seen > ttl {
+			delete(p.overheard, id)
 		}
 	}
 	if p.alpha != nil {
@@ -564,13 +564,16 @@ func (p *peer) periodPlan(now int, pos segment.ID, rv ringView, members map[int]
 		p.overdue, p.repeated = 0, 0
 	}
 
+	if p.joining {
+		p.send(0, Message{From: p.id, Kind: msgConnect})
+	}
 	if p.isSource {
 		p.pushFresh(now)
 	}
 	if p.cfg.Repair {
-		p.maintainMesh(now, members)
+		p.maintainMesh(now)
 	}
-	p.announce(members)
+	p.announce()
 	if !p.isSource {
 		p.schedulePulls(now)
 		if p.cfg.Repair && now >= p.cfg.PlaybackLagPeriods {
@@ -582,12 +585,32 @@ func (p *peer) periodPlan(now int, pos segment.ID, rv ringView, members map[int]
 // periodServe is the second half: drain the asks that arrived — including
 // this period's, sent during the plan pass — through the supplier-side
 // service discipline, then fold the period's rate observations.
-func (p *peer) periodServe(now int, members map[int]bool) {
+func (p *peer) periodServe(now int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.servePeriod(now, members)
+	p.servePeriod(now)
 	p.ctrl.Tick()
 	p.pushSpent, p.rescueSpent, p.pushReceived = 0, 0, 0
+}
+
+// samplePlayback takes the period's playback sample once the serve pass
+// is over: sampled reports whether the peer played this period (a
+// receiver past the playback lag), ok whether it held every segment due.
+// The next plan's mesh maintenance reads the outcome as distress.
+func (p *peer) samplePlayback(now int) (sampled, ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.isSource || now < p.cfg.PlaybackLagPeriods {
+		return false, false
+	}
+	ok = p.buf.HasAll(segment.Window{Lo: p.pos, Hi: p.pos + segment.ID(p.cfg.Rate)})
+	p.missedLast = !ok
+	if ok {
+		p.missStreak = 0
+	} else {
+		p.missStreak++
+	}
+	return true, ok
 }
 
 // pushFresh is the source's hop-1 spray of this period's new segments.
@@ -595,21 +618,28 @@ func (p *peer) pushFresh(now int) {
 	if !p.cfg.Engine || p.cfg.PushHops <= 0 {
 		return
 	}
+	win := segment.Window{Lo: segment.ID(now * p.cfg.Rate), Hi: segment.ID((now + 1) * p.cfg.Rate)}
 	fresh := make([]segment.ID, 0, p.cfg.Rate)
-	for s := segment.ID(now * p.cfg.Rate); s < segment.ID((now+1)*p.cfg.Rate); s++ {
+	for s := win.Lo; s < win.Hi; s++ {
 		if p.buf.Has(s) {
 			fresh = append(fresh, s)
 		}
 	}
-	sends := protocol.PlanPush(
-		p.cfg.Seed^0x51c^uint64(now), overlay.NodeID(p.id), fresh, p.neighbourNodeIDs(),
-		func(to overlay.NodeID, seg segment.ID) bool {
-			nm, ok := p.nbrMaps[int(to)]
-			return ok && nm.Has(seg)
-		}, p.outbound())
+	sends := protocol.PlanPushMask(
+		p.cfg.Seed^0x51c^uint64(now), overlay.NodeID(p.id), win.Lo, p.cfg.Rate, fresh,
+		p.neighbourNodeIDs(), p.lacks(win), p.outbound())
 	p.pushSpent += len(sends)
 	for _, s := range sends {
 		p.send(int(s.To), Message{From: p.id, Kind: msgData, Seg: s.ID, Hop: 1})
+	}
+}
+
+// lacks is the push planners' availability probe over the frontier win:
+// a neighbour lacks what its last announced map does not advertise, and
+// everything when it has announced none.
+func (p *peer) lacks(win segment.Window) func(overlay.NodeID, []uint64) {
+	return func(nb overlay.NodeID, row []uint64) {
+		p.nbrMaps[int(nb)].MissingWords(row, win)
 	}
 }
 
@@ -617,7 +647,7 @@ func (p *peer) pushFresh(now int) {
 // supplier-side discipline: protocol.PlanServe (EDF + rarity + bounded
 // carry) with the engine, protocol.ServeRoundRobin without — the same
 // code paths the simulator's serveSupplier drives.
-func (p *peer) servePeriod(now int, members map[int]bool) {
+func (p *peer) servePeriod(now int) {
 	asks := p.asks
 	p.asks = p.asks[:0]
 	var res protocol.ServeResult
@@ -636,7 +666,7 @@ func (p *peer) servePeriod(now int, members map[int]bool) {
 			Horizon:     sim.Time(now),
 			SupplierHas: p.buf.Has,
 			RequesterAlive: func(id overlay.NodeID) bool {
-				return members[int(id)]
+				return p.alive(int(id))
 			},
 			RequesterHas: func(id overlay.NodeID, seg segment.ID) bool {
 				nm, ok := p.nbrMaps[int(id)]
@@ -666,21 +696,19 @@ func (p *peer) servePeriod(now int, members map[int]bool) {
 	}
 }
 
-// maintainMesh drops neighbours discovered dead (registry failure or
-// silence beyond the staleness bound) and runs the shared rewire decision
-// — protocol.PlanRewire, the simulator's maintenance rules — over the
+// maintainMesh drops neighbours discovered dead (silence beyond the
+// staleness bound) and runs the shared rewire decision —
+// protocol.PlanRewire, the simulator's maintenance rules — over the
 // peer's locally learned view, sending Bye/Connect control messages for
 // the resulting intent.
-func (p *peer) maintainMesh(now int, members map[int]bool) {
+func (p *peer) maintainMesh(now int) {
 	for nb := range p.links {
-		silent := now-p.nbrSeen[nb] > p.cfg.DeadAfterPeriods
-		if !members[nb] || silent {
+		if p.silent(nb) {
 			p.unlink(nb)
 			delete(p.overheard, nb)
 			p.st.deadDropped.Add(1)
 		}
 	}
-	p.view.members = members
 	view := protocol.MaintenanceView{
 		Node:            overlay.NodeID(p.id),
 		Source:          0, // the source is always peer 0
@@ -696,7 +724,6 @@ func (p *peer) maintainMesh(now int, members map[int]bool) {
 	}
 	p.rewireScratch.Reset()
 	intent, ok := protocol.PlanRewire(view, p.cfg.maintenanceTuning(), &p.rewireScratch)
-	p.view.members = nil
 	if !ok {
 		return
 	}
@@ -705,7 +732,7 @@ func (p *peer) maintainMesh(now int, members map[int]bool) {
 		for next < len(intent.Adopt) {
 			c := int(intent.Adopt[next])
 			next++
-			if members[c] && !p.links[c] && c != p.id {
+			if p.alive(c) && !p.links[c] && c != p.id {
 				return c, true
 			}
 		}
@@ -740,12 +767,12 @@ func (p *peer) maintainMesh(now int, members map[int]bool) {
 // announce sends the buffer map to every neighbour, with membership
 // gossip piggybacked via the shared protocol picks (two of the sender's
 // other neighbours per receiver).
-func (p *peer) announce(members map[int]bool) {
+func (p *peer) announce() {
 	snap := p.buf.Snapshot()
 	nbs := p.neighbourNodeIDs()
 	gossip := make(map[overlay.NodeID][]int, len(nbs))
 	protocol.GossipPicks(p.rng, nbs,
-		func(id overlay.NodeID) bool { return members[int(id)] },
+		func(id overlay.NodeID) bool { return p.alive(int(id)) },
 		func(to, about overlay.NodeID) {
 			gossip[to] = append(gossip[to], int(about))
 		})
@@ -857,4 +884,89 @@ func (p *peer) rescueUrgent(now int) {
 		p.st.rescueAsked.Add(1)
 		p.send(target, Message{From: p.id, Kind: msgRescueReq, Seg: seg})
 	}
+}
+
+// alive reports whether id is in this peer's membership view: itself, the
+// source (losing the source ends the session, not the membership), or a
+// peer sighted within sightTTL periods — periodPlan expires older
+// sightings, so presence in sighted is the test. Direct neighbours are
+// still judged by the tighter silence bound in mesh maintenance; this
+// wider view gates adoption, serving, gossip and ring placement. Callers
+// hold p.mu.
+func (p *peer) alive(id int) bool {
+	if id == p.id || id == 0 {
+		return true
+	}
+	_, ok := p.sighted[id]
+	return ok
+}
+
+// silent reports whether neighbour nb has sent no map for longer than
+// the staleness bound — the rule that drops it as dead.
+func (p *peer) silent(nb int) bool {
+	return p.curPeriod-p.nbrSeen[nb] > p.cfg.DeadAfterPeriods
+}
+
+// sight stamps id with the current period. An ID new to the view also
+// joins the ring view, which therefore always holds the peer itself, the
+// source and every sighted ID, kept sorted as sightings come and expire
+// rather than rebuilt each period.
+func (p *peer) sight(id int) {
+	n := len(p.sighted)
+	p.sighted[id] = p.curPeriod
+	if len(p.sighted) > n && id != 0 && id != p.id {
+		p.rv = p.rv.insert(p.member(id))
+	}
+}
+
+// member is id's ring-view entry.
+func (p *peer) member(id int) ringMember {
+	return ringMember{ring: ringOf(p.space, id), id: id}
+}
+
+// sightTTL is how many periods a sighting stays membership evidence —
+// comfortably wider than the direct-neighbour silence bound so gossip
+// reach outlives a couple of dropped announcements, but finite so
+// departed (or fabricated) IDs age out of the view, the sample pool,
+// and the sighted map itself.
+func (p *peer) sightTTL() int { return 3 * p.cfg.DeadAfterPeriods }
+
+// sightedSample draws up to max peer IDs from the membership view,
+// excluding the given ID and the sampler itself — the rendezvous point's
+// candidate list behind its refill pool and bootstrap replies. Callers
+// hold p.mu.
+func (p *peer) sightedSample(max, exclude int) []int {
+	ids := make([]int, 0, len(p.sighted))
+	for id := range p.sighted {
+		if id != exclude && id != p.id {
+			ids = append(ids, id)
+		}
+	}
+	sort.Ints(ids)
+	p.rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	if len(ids) > max {
+		ids = ids[:max]
+	}
+	return ids
+}
+
+// viewSize returns the peer's link count and membership view size.
+func (p *peer) viewSize() (links, members int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.links), len(p.rv)
+}
+
+// deadLinks counts the links whose far side has gone silent — the
+// end-of-session measure of whether mesh repair kept up.
+func (p *peer) deadLinks() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for nb := range p.links {
+		if p.silent(nb) {
+			n++
+		}
+	}
+	return n
 }

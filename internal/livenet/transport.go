@@ -4,13 +4,14 @@ import "sync/atomic"
 
 // Transport is the message-passing substrate a peer sends through — the
 // seam between the protocol and the medium that carries it. Two
-// implementations exist: the in-process channel transport (network),
-// which doubles as the single-process registry the driver-mode oracle
-// reads, and the UDP transport (udpTransport), which crosses real
-// process boundaries. Both share the drop model the protocol is built
-// against: Send never blocks, and false means the message was dropped —
-// receiver gone, inbox saturated, or (over sockets) the address unknown
-// — leaving recovery to the retry and repair paths.
+// implementations exist: the in-process channel transport (network) and
+// the UDP transport (udpTransport), which crosses real process
+// boundaries. Neither tells a peer who is alive; membership comes from
+// the messages and gossip the peer receives. Both share the drop model
+// the protocol is built against: Send never blocks, and false means the
+// message was dropped — receiver gone, inbox saturated, or (over
+// sockets) the address unknown — leaving recovery to the retry and
+// repair paths.
 //
 // Receiving is not part of the interface: each transport hands its peer
 // a plain chan Message at construction, so the peer loop is identical

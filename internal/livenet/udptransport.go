@@ -16,12 +16,11 @@ import (
 // channel transport discards into a full channel. Loss recovery stays
 // where the protocol puts it: retry, repair and rescue.
 //
-// The transport is also the address book the socket path substitutes
-// for the registry oracle: it learns peer addresses from the source
-// address of every datagram a peer sends and from the (id, addr) pairs
-// piggybacked on membership gossip, which it fills in on encode and
-// strips on decode — peers keep talking in small integer IDs on both
-// transports.
+// The transport is also the socket path's address book: it learns peer
+// addresses from the source address of every datagram a peer sends and
+// from the (id, addr) pairs piggybacked on membership gossip, which it
+// fills in on encode and strips on decode — peers keep talking in small
+// integer IDs on both transports.
 type udpTransport struct {
 	self   int
 	conn   *net.UDPConn

@@ -39,8 +39,7 @@ import (
 //
 // Gossip entries carry an optional transport address (empty in-process;
 // the UDP transport fills them from its address book so membership
-// gossip teaches receivers how to reach the peers it names — the routed
-// replacement for the single-process registry oracle). Decoding is
+// gossip teaches receivers how to reach the peers it names). Decoding is
 // strict: unknown versions and kinds, counts beyond the caps, lengths
 // that disagree with the prefix, and trailing bytes are all errors, so a
 // hostile or corrupted datagram cannot make a peer allocate unbounded

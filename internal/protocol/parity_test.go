@@ -159,28 +159,33 @@ func TestServeParitySimVsLivenet(t *testing.T) {
 }
 
 // TestPushParitySimVsLivenet asserts the eager-push plan is identical for
-// both runtimes' has-views of the same neighbourhood.
+// both runtimes' lack rows over the same neighbourhood: the simulator's
+// read from neighbour buffers, livenet's from announced maps.
 func TestPushParitySimVsLivenet(t *testing.T) {
 	w := newParityWorld(t)
 	segs := []segment.ID{120, 121, 122}
+	frontier := segment.Window{Lo: 120, Hi: 123}
 	nbs := w.order
 	// Sim-shaped view: direct buffer reads.
-	simHas := func(to overlay.NodeID, seg segment.ID) bool {
-		b, ok := w.bufs[to]
-		return ok && b.Has(seg)
+	simLacks := func(to overlay.NodeID, row []uint64) {
+		var m buffer.Map
+		if b, ok := w.bufs[to]; ok {
+			m = b.View()
+		}
+		m.MissingWords(row, frontier)
 	}
 	// Livenet-shaped view: announced map reads.
 	nbrMaps := make(map[int]buffer.Map)
 	for _, id := range w.order {
 		nbrMaps[int(id)] = w.bufs[id].Snapshot()
 	}
-	liveHas := func(to overlay.NodeID, seg segment.ID) bool {
-		nm, ok := nbrMaps[int(to)]
-		return ok && nm.Has(seg)
+	liveLacks := func(to overlay.NodeID, row []uint64) {
+		nbrMaps[int(to)].MissingWords(row, frontier)
 	}
 	const seed, budget = 0xfeed, 5
-	simPlan := PlanPush(seed, 7, segs, nbs, simHas, budget)
-	livePlan := PlanPush(seed, 7, segs, nbs, liveHas, budget)
+	width := int(frontier.Hi - frontier.Lo)
+	simPlan := PlanPushMask(seed, 7, frontier.Lo, width, segs, nbs, simLacks, budget)
+	livePlan := PlanPushMask(seed, 7, frontier.Lo, width, segs, nbs, liveLacks, budget)
 	if !reflect.DeepEqual(simPlan, livePlan) {
 		t.Fatalf("push plans diverged:\nsim  %+v\nlive %+v", simPlan, livePlan)
 	}

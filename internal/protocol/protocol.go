@@ -21,7 +21,7 @@
 //     re-evaluation trigger when a node's believed successor moves
 //     (SuccessorMoved), which stops replica decay under arc reshuffle.
 //   - Fresh-segment push — breadth-first eager forwarding plans for newly
-//     generated segments (PlanPush), the dissemination engine's answer to
+//     generated segments (PlanPushMask), the dissemination engine's answer to
 //     the pull-epidemic depth gap at 8000+ nodes.
 //   - Supplier-side service — earliest-deadline-first serving with a
 //     neighbourhood-rarity tie-break and bounded carry queues (PlanServe,

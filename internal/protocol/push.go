@@ -24,8 +24,8 @@ func compareRanked(a, b ranked) int {
 	return cmp.Compare(a.to, b.to)
 }
 
-// PlanPush computes one pusher's eager transmissions for one hop of the
-// fresh-segment push: for every fresh segment it holds, the pusher
+// PlanPushMask computes one pusher's eager transmissions for one hop of
+// the fresh-segment push: for every fresh segment it holds, the pusher
 // forwards copies to neighbours that lack the segment, breadth-first
 // across segments (each segment gets its first copy out before any
 // segment gets its second) until the outbound budget is exhausted.
@@ -34,51 +34,32 @@ func compareRanked(a, b ranked) int {
 // pushers holding the same segment spray different neighbour prefixes and
 // the copies spread instead of piling onto the lowest IDs; the order is a
 // pure function of its inputs, which keeps the phase worker-count
-// deterministic. has reports whether a neighbour already holds a segment
-// (such targets are skipped — though concurrent pushers in the same hop
-// may still race to the same target, which the caller counts as a push
-// duplicate on arrival).
-func PlanPush(seed uint64, from overlay.NodeID, segs []segment.ID, neighbours []overlay.NodeID, has func(overlay.NodeID, segment.ID) bool, budget int) []Send {
+// deterministic. Concurrent pushers in the same hop may still race to the
+// same target, which the caller counts as a push duplicate on arrival.
+//
+// Availability is read one lack row per neighbour, not one probe per
+// (segment, neighbour) pair: lacks(nb, row) fills row, ⌈width/64⌉ words
+// over the frontier window [base, base+width), with bit i set when nb
+// lacks segment base+i and can accept a copy (buffer.Map.MissingWords
+// builds exactly this row). Every segment must lie in the window. The
+// tests hold it to a scalar per-pair reference planner
+// (push_oracle_test.go).
+func PlanPushMask(seed uint64, from overlay.NodeID, base segment.ID, width int, segs []segment.ID, neighbours []overlay.NodeID, lacks func(nb overlay.NodeID, row []uint64), budget int) []Send {
 	if budget <= 0 || len(segs) == 0 || len(neighbours) == 0 {
 		return nil
 	}
-	arena := make([]ranked, 0, len(segs)*len(neighbours))
-	off := make([]int, len(segs)+1)
-	for i, s := range segs {
-		for _, nb := range neighbours {
-			if has(nb, s) {
-				continue
-			}
-			arena = append(arena, ranked{to: nb, key: scheduler.Jitter(seed, uint64(s), uint64(nb))})
-		}
-		off[i+1] = len(arena)
-		slices.SortFunc(arena[off[i]:], compareRanked)
-	}
-	return emitPush(from, segs, arena, off, budget)
-}
-
-// PlanPushMask is PlanPush with the availability probe hoisted to one word
-// per neighbour: lacks(nb) returns a bitmask over the frontier window
-// [base, base+64) in which bit (s-base) set means nb lacks segment s and
-// can accept a copy, evaluated once per neighbour instead of once per
-// (segment, neighbour) pair. Every segment must satisfy base <= s <
-// base+64; callers with wider frontiers fall back to PlanPush. The output
-// is identical to PlanPush with has(nb, s) reporting the inverse of the
-// segment's mask bit — PlanPush stays as the scalar differential oracle.
-func PlanPushMask(seed uint64, from overlay.NodeID, base segment.ID, segs []segment.ID, neighbours []overlay.NodeID, lacks func(overlay.NodeID) uint64, budget int) []Send {
-	if budget <= 0 || len(segs) == 0 || len(neighbours) == 0 {
-		return nil
-	}
-	masks := make([]uint64, len(neighbours))
+	words := (width + 63) / 64
+	rows := make([]uint64, len(neighbours)*words)
 	for j, nb := range neighbours {
-		masks[j] = lacks(nb)
+		lacks(nb, rows[j*words:(j+1)*words])
 	}
 	arena := make([]ranked, 0, len(segs)*len(neighbours))
 	off := make([]int, len(segs)+1)
 	for i, s := range segs {
-		bit := uint64(1) << uint(s-base)
+		k := int(s - base)
+		wi, bit := k>>6, uint64(1)<<uint(k&63)
 		for j, nb := range neighbours {
-			if masks[j]&bit == 0 {
+			if rows[j*words+wi]&bit == 0 {
 				continue
 			}
 			arena = append(arena, ranked{to: nb, key: scheduler.Jitter(seed, uint64(s), uint64(nb))})

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"slices"
 	"testing"
 
 	"continustreaming/internal/overlay"
@@ -54,55 +55,68 @@ func TestSupplierRarityUniformMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestPlanPushMaskMatchesPlanPush cross-checks the hoisted one-word
-// availability probe against the scalar per-(segment, neighbour) oracle on
-// random frontiers: random neighbour sets, random per-neighbour holdings,
-// random budgets. The two must emit identical Send sequences.
+// TestPlanPushMaskMatchesPlanPush cross-checks the lack-row planner
+// against the scalar per-(segment, neighbour) oracle on random frontiers —
+// random neighbour sets, holdings and budgets — at widths on and across
+// word boundaries: one segment, exactly one word, one bit past a word,
+// and several words. The two must emit identical Send sequences.
 func TestPlanPushMaskMatchesPlanPush(t *testing.T) {
 	rng := sim.DeriveRNG(1, 0x9a5e)
-	for trial := 0; trial < 3000; trial++ {
-		base := segment.ID(rng.Intn(1000))
-		nSegs := 1 + rng.Intn(10)
-		segs := make([]segment.ID, 0, nSegs)
-		for i := 0; i < nSegs; i++ {
-			s := base + segment.ID(rng.Intn(64))
-			dup := false
-			for _, p := range segs {
-				if p == s {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				segs = append(segs, s)
-			}
+	for _, width := range []int{1, 64, 65, 200} {
+		for trial := 0; trial < 1000; trial++ {
+			checkPushMaskTrial(t, rng, trial, width)
 		}
-		nNbrs := rng.Intn(8)
-		neighbours := make([]overlay.NodeID, nNbrs)
-		holds := make(map[overlay.NodeID]uint64, nNbrs)
-		for i := range neighbours {
-			nb := overlay.NodeID(1 + i*3 + rng.Intn(2))
-			neighbours[i] = nb
-			holds[nb] = rng.Uint64()
-		}
-		from := overlay.NodeID(999)
-		seed := rng.Uint64()
-		budget := rng.Intn(20)
+	}
+}
 
-		scalar := PlanPush(seed, from, segs, neighbours,
-			func(nb overlay.NodeID, s segment.ID) bool {
-				return holds[nb]&(1<<uint(s-base)) != 0
-			}, budget)
-		word := PlanPushMask(seed, from, base, segs, neighbours,
-			func(nb overlay.NodeID) uint64 { return ^holds[nb] }, budget)
-
-		if len(scalar) != len(word) {
-			t.Fatalf("trial %d: scalar planned %d sends, mask planned %d", trial, len(scalar), len(word))
+// checkPushMaskTrial plans one random push over a frontier of the given
+// width through both planners and fails on any difference.
+func checkPushMaskTrial(t *testing.T, rng *sim.RNG, trial, width int) {
+	t.Helper()
+	base := segment.ID(rng.Intn(1000))
+	nSegs := 1 + rng.Intn(min(width, 12))
+	segs := make([]segment.ID, 0, nSegs)
+	for i := 0; i < nSegs; i++ {
+		s := base + segment.ID(rng.Intn(width))
+		if !slices.Contains(segs, s) {
+			segs = append(segs, s)
 		}
-		for i := range scalar {
-			if scalar[i] != word[i] {
-				t.Fatalf("trial %d: send %d differs: scalar %+v, mask %+v", trial, i, scalar[i], word[i])
+	}
+	words := (width + 63) / 64
+	nNbrs := rng.Intn(8)
+	neighbours := make([]overlay.NodeID, nNbrs)
+	holds := make(map[overlay.NodeID][]uint64, nNbrs)
+	for i := range neighbours {
+		nb := overlay.NodeID(1 + i*3 + rng.Intn(2))
+		neighbours[i] = nb
+		row := make([]uint64, words)
+		for k := range row {
+			row[k] = rng.Uint64()
+		}
+		holds[nb] = row
+	}
+	from := overlay.NodeID(999)
+	seed := rng.Uint64()
+	budget := rng.Intn(20)
+
+	scalar := PlanPush(seed, from, segs, neighbours,
+		func(nb overlay.NodeID, s segment.ID) bool {
+			k := int(s - base)
+			return holds[nb][k>>6]&(1<<uint(k&63)) != 0
+		}, budget)
+	word := PlanPushMask(seed, from, base, width, segs, neighbours,
+		func(nb overlay.NodeID, row []uint64) {
+			for k := range row {
+				row[k] = ^holds[nb][k]
 			}
+		}, budget)
+
+	if len(scalar) != len(word) {
+		t.Fatalf("width %d trial %d: scalar planned %d sends, mask planned %d", width, trial, len(scalar), len(word))
+	}
+	for i := range scalar {
+		if scalar[i] != word[i] {
+			t.Fatalf("width %d trial %d: send %d differs: scalar %+v, mask %+v", width, trial, i, scalar[i], word[i])
 		}
 	}
 }
